@@ -6,17 +6,24 @@ awake at its local slot t + d.  If the pair is ever going to meet, it meets
 inside the joint hyperperiod lcm(T_a, T_b), so that is the default search
 horizon.
 
-Two engines compute the same answer.  The scan engine walks the sparser
+Three engines compute the same answer.  The scan engine walks the sparser
 schedule's wake slots in time order and set-probes the other schedule; its
 cost is the discovery latency times the walked duty cycle.  The analytic
 engine applies to pure divisibility schedules: for every cross pair (x, y)
 of the two divisor sets it solves t = 0 (mod x), t = -d (mod y) and takes
-the smallest solvable base.
+the smallest solvable base.  The class sweep answers every drift at once:
+b's pattern, and so the first meeting, depends only on d mod T_b, so one
+time-ordered walk over a's wake slots, crossed with b's wake slots, settles
+each of the T_b drift classes at its first meeting and stops once all are
+settled.
 
 On top of these sit exhaustive/sampled drift verification, seeded
 Monte-Carlo latency trials (drifts drawn per-trial from a counter-based
 generator, so results are independent of evaluation order), and CDF
-extraction.
+extraction.  Exhaustive verification always runs the class sweep.  Sampled
+verification and scanned latency trials look each drift up in the sweep's
+class table when T_b is at most the number of drifts requested, so the table
+is never larger than the rows returned; otherwise they scan per drift.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from __future__ import annotations
 import hashlib
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .numtheory import lcm, solve_congruence_pair
 from .protocols import NodeConfig, divisor_set, schedule_period
@@ -93,6 +100,58 @@ def _scan(
     return _NOT_FOUND, cost
 
 
+def _sweep(
+    a: Schedule, b: Schedule, max_work: Optional[int] = None
+) -> list[Optional[int]]:
+    """First discovery slot of every drift class modulo T_b, or None.
+
+    Walks a's wake slots t in time order up to lcm(T_a, T_b); each b wake
+    slot sb settles class (sb - t) mod T_b at t the first time it is seen.
+    Since t only increases, that is the first discovery of every drift in
+    the class.  Raises :class:`ScanBudgetError` once more than ``max_work``
+    probes (a slots walked times |b.active|) were spent.
+    """
+    classes: list[Optional[int]] = [None] * b.period
+    if not a.active or not b.active:
+        return classes
+    walk = sorted(a.active)
+    other = sorted(b.active)
+    width, period_b = len(other), b.period
+    unsettled = period_b
+    probes = 0
+    for base in range(0, lcm(a.period, period_b), a.period):
+        for s in walk:
+            t = base + s
+            probes += width
+            if max_work is not None and probes > max_work:
+                raise ScanBudgetError(
+                    f"drift-class sweep exceeded the work guard {max_work}; "
+                    "pass sample= to verify a seeded subset"
+                )
+            for sb in other:
+                c = (sb - t) % period_b
+                if classes[c] is None:
+                    classes[c] = t
+                    unsettled -= 1
+            if not unsettled:
+                return classes
+    return classes
+
+
+def _drift_latency(
+    a: Schedule, b: Schedule, horizon: int, drifts: int
+) -> Callable[[int], Optional[int]]:
+    """First-discovery slot (or None) of a drift, for a call asking ``drifts``.
+
+    Uses the class sweep's table when it has no more entries than drifts
+    requested, a per-drift scan otherwise.
+    """
+    if b.period <= drifts:
+        classes = _sweep(a, b)
+        return lambda d: classes[d % b.period]
+    return lambda d: _scan(a, b, d, horizon)[0].slot
+
+
 def first_discovery(pair: DriftedPair, horizon: Optional[int] = None) -> DiscoveryResult:
     """Smallest t in [0, horizon) with both nodes awake, or not-found.
 
@@ -148,10 +207,12 @@ def verify_all_drifts(
 ) -> DriftVerification:
     """Check that every drift (or a seeded sample of drifts) yields discovery.
 
-    Exhaustive mode iterates every drift in [0, lcm(T_a, T_b)) and raises
-    :class:`ScanBudgetError` once more than ``max_work`` drift-slot probes
-    were spent.  Passing ``sample`` switches to seeded sampling instead,
-    flagged by ``exhaustive=False`` in the result.
+    Exhaustive mode covers every drift in [0, lcm(T_a, T_b)) with one
+    drift-class sweep.  It raises :class:`ScanBudgetError` when the number
+    of drifts exceeds ``max_work``, or once the sweep spent more than
+    ``max_work`` probes (a wake slots walked times b's wake-slot count).
+    Passing ``sample`` switches to seeded sampling instead, flagged by
+    ``exhaustive=False`` in the result.
     """
     horizon = lcm(a.period, b.period)
     if sample is None:
@@ -160,36 +221,22 @@ def verify_all_drifts(
                 f"{horizon} drifts exceed the work guard {max_work}; "
                 "pass sample= to verify a seeded subset"
             )
-        drifts: Iterable[int] = range(horizon)
-        exhaustive = True
-        checked = horizon
+        # Each class holds horizon // T_b drifts, so the per-class maximum
+        # and mean are the per-drift ones; int/int division is correctly
+        # rounded, so the mean is bit-identical to a per-drift average.
+        slots = _sweep(a, b, max_work)
     else:
         if sample < 1:
             raise ValueError(f"sample must be >= 1, got {sample}")
-        drifts = (trial_drift(seed, i, horizon) for i in range(sample))
-        exhaustive = False
-        checked = sample
-    work = 0
-    latencies: list[int] = []
-    misses = 0
-    for d in drifts:
-        result, cost = _scan(a, b, d, horizon)
-        work += cost
-        if exhaustive and work > max_work:
-            raise ScanBudgetError(
-                f"drift scan exceeded the work guard {max_work}; "
-                "pass sample= to verify a seeded subset"
-            )
-        if result.found:
-            latencies.append(result.slot)
-        else:
-            misses += 1
+        latency = _drift_latency(a, b, horizon, sample)
+        slots = [latency(trial_drift(seed, i, horizon)) for i in range(sample)]
+    latencies = [t for t in slots if t is not None]
     return DriftVerification(
-        all_discover=misses == 0,
+        all_discover=len(latencies) == len(slots),
         max_latency=max(latencies) if latencies else None,
         mean_latency=sum(latencies) / len(latencies) if latencies else None,
-        exhaustive=exhaustive,
-        drifts_checked=checked,
+        exhaustive=sample is None,
+        drifts_checked=horizon if sample is None else sample,
     )
 
 
@@ -236,28 +283,28 @@ def latency_trials(
     Each trial draws its drift uniformly from [0, lcm(T_a, T_b)) via
     :func:`trial_drift`, then computes the exact first discovery with
     horizon lcm(T_a, T_b): analytically when both nodes run divisibility
-    schedules (whose hyperperiods can make a slot walk infeasible), by
-    scanning otherwise.  Identical inputs give identical output.
+    schedules (whose hyperperiods can make a slot walk infeasible), from
+    the drift-class table when T_b <= ``trials``, by scanning otherwise.
+    Identical inputs give identical output.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     div_a, div_b = divisor_set(cfg_a.params), divisor_set(cfg_b.params)
     horizon = lcm(schedule_period(cfg_a.params), schedule_period(cfg_b.params))
-    analytic = div_a is not None and div_b is not None
-    if not analytic:
-        sched_a, sched_b = cfg_a.schedule, cfg_b.schedule
+    if div_a is not None and div_b is not None:
+        def latency(d: int) -> Optional[int]:
+            return first_discovery_analytic(div_a, div_b, d).slot
+    else:
+        latency = _drift_latency(cfg_a.schedule, cfg_b.schedule, horizon, trials)
     rows: list[TrialResult] = []
     found: list[int] = []
     misses = 0
     for i in range(trials):
         d = trial_drift(seed, i, horizon)
-        if analytic:
-            result = first_discovery_analytic(div_a, div_b, d)
-        else:
-            result, _ = _scan(sched_a, sched_b, d, horizon)
-        if result.found:
-            found.append(result.slot)
-            rows.append(TrialResult(i, d, result.slot, True))
+        slot = latency(d)
+        if slot is not None:
+            found.append(slot)
+            rows.append(TrialResult(i, d, slot, True))
         else:
             misses += 1
             rows.append(TrialResult(i, d, None, False))

@@ -15,6 +15,7 @@ from nbrdisc.protocols import (
 from nbrdisc.schedule import make_schedule, rotate
 from nbrdisc.simulator import (
     DriftedPair,
+    DriftVerification,
     LatencyDistribution,
     ScanBudgetError,
     TrialResult,
@@ -140,6 +141,90 @@ def test_verify_all_drifts_budget_guard():
         hedis_schedule(4), hedis_schedule(6), max_work=10, sample=5, seed=1
     )
     assert not result.exhaustive and result.drifts_checked == 5
+
+
+def test_verify_all_drifts_sweep_budget_guard():
+    # The horizon (8) passes the drift-count check, but the sweep walks all
+    # four wake slots of a against four of b (16 probes) without a meeting.
+    a = make_schedule(8, [0, 2, 4, 6])
+    b = make_schedule(8, [1, 3, 5, 7])
+    with pytest.raises(ScanBudgetError):
+        verify_all_drifts(a, b, max_work=10)
+    assert not verify_all_drifts(a, b, max_work=16).all_discover
+
+
+def _per_drift_verification(a, b, drifts, exhaustive):
+    """Reference: one independent scan per drift, summarised per drift."""
+    slots = [first_discovery(DriftedPair(a, b, d)).slot for d in drifts]
+    found = [t for t in slots if t is not None]
+    return DriftVerification(
+        all_discover=len(found) == len(slots),
+        max_latency=max(found) if found else None,
+        mean_latency=sum(found) / len(found) if found else None,
+        exhaustive=exhaustive,
+        drifts_checked=len(slots),
+    )
+
+
+def _random_schedule(rng):
+    period = rng.randint(1, 36)
+    return make_schedule(
+        period, [rng.randrange(period) for _ in range(rng.randint(0, 6))]
+    )
+
+
+def test_verify_all_drifts_matches_per_drift_scan():
+    rng = random.Random(23)
+    pairs = [(S_A, S_B), (S_B, S_A), (make_schedule(5, []), S_B)]
+    pairs += [(_random_schedule(rng), _random_schedule(rng)) for _ in range(300)]
+    assert any(not a.active or not b.active for a, b in pairs)
+    for a, b in pairs:
+        horizon = lcm(a.period, b.period)
+        assert verify_all_drifts(a, b) == _per_drift_verification(
+            a, b, range(horizon), True
+        )
+        # both sampled engines: per-drift scan below T_b drifts, class table at or above
+        for sample in (1, b.period - 1, b.period, 2 * b.period + 3):
+            if sample < 1:
+                continue
+            drifts = [trial_drift(4, i, horizon) for i in range(sample)]
+            assert verify_all_drifts(
+                a, b, sample=sample, seed=4
+            ) == _per_drift_verification(a, b, drifts, False)
+
+
+@pytest.mark.parametrize("protocol", ["hedis", "uconnect", "searchlight"])
+def test_latency_trials_class_table_matches_first_discovery(protocol):
+    cfg_a = select_params(protocol, Fraction(1, 10))
+    cfg_b = select_params(protocol, Fraction(1, 4))
+    sched_a, sched_b = cfg_a.schedule, cfg_b.schedule
+    trials = sched_b.period + 50  # T_b <= trials: the class-table path
+    dist = latency_trials(cfg_a, cfg_b, trials, seed=5)
+    assert len(dist.trials) == trials
+    for tr in dist.trials:
+        res = first_discovery(DriftedPair(sched_a, sched_b, tr.drift))
+        assert (res.found, res.slot) == (tr.discovered, tr.latency)
+
+
+def test_todis_exhaustive_drifts_within_bound():
+    # Exhaustive companion to the sampled todis grid in test_protocols.py.
+    odd = range(5, 30, 2)
+    schedules = {n: todis_schedule(n) for n in odd}
+    for n in odd:
+        for m in odd:
+            result = verify_all_drifts(schedules[n], schedules[m])
+            bound = worst_case_bound({n - 2, n, n + 2}, {m - 2, m, m + 2})
+            assert result.exhaustive and result.all_discover, (n, m)
+            assert result.max_latency <= bound, (n, m)
+
+
+def test_hedis_same_parity_exhaustive_guarantee():
+    pairs = [(n, m) for n in range(3, 31) for m in range(3, 31) if n % 2 == m % 2]
+    assert len(pairs) == 392
+    for n, m in pairs:
+        result = verify_all_drifts(hedis_schedule(n), hedis_schedule(m))
+        assert result.all_discover, (n, m)
+        assert result.mean_latency <= 4 * n * m, (n, m)
 
 
 def test_trial_drift_is_deterministic_and_in_range():
