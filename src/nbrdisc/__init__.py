@@ -1,150 +1,16 @@
 """Duty-cycled wake-up schedules and deterministic asynchronous neighbor
 discovery: five protocol schedule generators (disco, uconnect, searchlight,
 hedis, todis) over a shared slotted model, a congruence-solving core,
-duty-cycle granularity analysis, and a pairwise discovery simulator."""
+duty-cycle granularity analysis, and a pairwise discovery simulator.
+
+The package exports the names of the README's library example; everything
+else is imported from its submodule (``nbrdisc.protocols``,
+``nbrdisc.simulator``, ``nbrdisc.granularity``, ``nbrdisc.numtheory``,
+``nbrdisc.schedule``)."""
 
 __version__ = "0.1.0"
 
-from .schedule import (
-    Schedule,
-    duty_cycle,
-    format_schedule,
-    is_active,
-    make_schedule,
-    rotate,
-)
-from .numtheory import (
-    CongruenceSolution,
-    coprime_pair_property,
-    gcd,
-    lcm,
-    primes_up_to,
-    solve_congruence_pair,
-    worst_case_bound,
-)
-from .protocols import (
-    DEFAULT_OPTIONS,
-    DiscoParams,
-    HedisParams,
-    NodeConfig,
-    NotationError,
-    PROTOCOL_ORDER,
-    ParameterError,
-    ProtocolParams,
-    SearchlightParams,
-    SelectionError,
-    SelectionOptions,
-    TodisParams,
-    UConnectParams,
-    achieved_duty,
-    build_schedule,
-    coprimality_schedule,
-    disco_schedule,
-    divisor_set,
-    format_params,
-    hedis_schedule,
-    parameter_set,
-    parse_params,
-    protocol_tag,
-    schedule_period,
-    searchlight_schedule,
-    select_params,
-    todis_duty,
-    todis_schedule,
-    uconnect_schedule,
-)
-from .granularity import (
-    BoundDomainError,
-    GranularityRecord,
-    granularity_csv_rows,
-    relative_error,
-    sweep,
-    todis_error_upper_bound,
-)
-from .simulator import (
-    DiscoveryResult,
-    DriftVerification,
-    DriftedPair,
-    LatencyDistribution,
-    ScanBudgetError,
-    TrialResult,
-    cdf,
-    cdf_csv_rows,
-    first_discovery,
-    first_discovery_analytic,
-    latency_trials,
-    trial_drift,
-    trials_csv_rows,
-    verify_all_drifts,
-)
+from .protocols import select_params
+from .simulator import cdf, latency_trials, verify_all_drifts
 
-__all__ = [
-    "__version__",
-    # schedule
-    "Schedule",
-    "make_schedule",
-    "is_active",
-    "rotate",
-    "duty_cycle",
-    "format_schedule",
-    # numtheory
-    "CongruenceSolution",
-    "gcd",
-    "lcm",
-    "solve_congruence_pair",
-    "coprime_pair_property",
-    "worst_case_bound",
-    "primes_up_to",
-    # protocols
-    "PROTOCOL_ORDER",
-    "ProtocolParams",
-    "HedisParams",
-    "TodisParams",
-    "DiscoParams",
-    "UConnectParams",
-    "SearchlightParams",
-    "NodeConfig",
-    "SelectionOptions",
-    "DEFAULT_OPTIONS",
-    "ParameterError",
-    "SelectionError",
-    "NotationError",
-    "coprimality_schedule",
-    "hedis_schedule",
-    "todis_schedule",
-    "disco_schedule",
-    "uconnect_schedule",
-    "searchlight_schedule",
-    "build_schedule",
-    "achieved_duty",
-    "schedule_period",
-    "todis_duty",
-    "divisor_set",
-    "parameter_set",
-    "protocol_tag",
-    "select_params",
-    "format_params",
-    "parse_params",
-    # granularity
-    "GranularityRecord",
-    "BoundDomainError",
-    "relative_error",
-    "sweep",
-    "todis_error_upper_bound",
-    "granularity_csv_rows",
-    # simulator
-    "DriftedPair",
-    "DiscoveryResult",
-    "DriftVerification",
-    "LatencyDistribution",
-    "TrialResult",
-    "ScanBudgetError",
-    "first_discovery",
-    "first_discovery_analytic",
-    "verify_all_drifts",
-    "latency_trials",
-    "trial_drift",
-    "cdf",
-    "trials_csv_rows",
-    "cdf_csv_rows",
-]
+__all__ = ["__version__", "select_params", "latency_trials", "verify_all_drifts", "cdf"]

@@ -20,15 +20,10 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from . import __version__
-from .granularity import (
-    format_rational,
-    granularity_csv_rows,
-    sweep,
-)
+from .granularity import escape_error, format_rational, granularity_csv_rows, sweep
 from .protocols import (
     PROTOCOL_ORDER,
     NotationError,
-    ParameterError,
     SelectionError,
     SelectionOptions,
     build_schedule,
@@ -52,10 +47,8 @@ from .simulator import (
 class RunSpec:
     """One CLI invocation, as recorded in output metadata."""
 
-    command: str
     argv: tuple[str, ...]
     seed: int
-    out: Optional[str]
 
     def metadata_lines(self) -> list[str]:
         return [
@@ -119,10 +112,7 @@ def parse_protocols(text: str) -> list[str]:
 
 
 def _options_from(args: argparse.Namespace) -> SelectionOptions:
-    return SelectionOptions(
-        hedis_parity=args.parity,
-        searchlight_t=args.searchlight_t,
-    )
+    return SelectionOptions(hedis_parity=args.parity, searchlight_t=args.searchlight_t)
 
 
 def _write_lines(out: Optional[str], lines: Iterable[str], spec: RunSpec) -> None:
@@ -139,6 +129,8 @@ def _write_lines(out: Optional[str], lines: Iterable[str], spec: RunSpec) -> Non
 
 
 def cmd_schedule(args: argparse.Namespace, spec: RunSpec) -> int:
+    if args.limit < 0:
+        raise NotationError(f"--limit must be >= 0, got {args.limit}")
     params = parse_params(args.spec)
     schedule = build_schedule(params)
     duty = duty_cycle(schedule)
@@ -156,33 +148,18 @@ def cmd_schedule(args: argparse.Namespace, spec: RunSpec) -> int:
 
 
 def cmd_params(args: argparse.Namespace, spec: RunSpec) -> int:
-    protocols = parse_protocols(args.protocols)
     delta = parse_delta(args.delta)
-    options = _options_from(args)
+    records = sweep(parse_protocols(args.protocols), [delta], _options_from(args))
+    desired = format_rational(delta)
     lines = ["protocol,params,desired_delta,achieved_delta,relative_error"]
-    status = 0
-    for protocol in protocols:
-        try:
-            cfg = select_params(protocol, delta, options)
-        except SelectionError as exc:
-            message = str(exc).replace(",", ";").replace('"', "'")
-            lines.append(f'{protocol},"error:{message}",{format_rational(delta)},,')
-            status = 1
+    for rec in records:
+        if rec.error is not None:
+            lines.append(f'{rec.protocol},"error:{escape_error(rec.error)}",{desired},,')
             continue
-        err = abs(cfg.achieved_delta - delta) / delta
-        lines.append(
-            ",".join(
-                [
-                    protocol,
-                    '"%s"' % format_params(cfg.params),
-                    format_rational(delta),
-                    format_rational(cfg.achieved_delta),
-                    format_rational(err),
-                ]
-            )
-        )
+        achieved, err = format_rational(rec.achieved_delta), format_rational(rec.relative_error)
+        lines.append(f'{rec.protocol},"{format_params(rec.params)}",{desired},{achieved},{err}')
     _write_lines(args.out, lines, spec)
-    return status
+    return 1 if any(rec.error is not None for rec in records) else 0
 
 
 def cmd_granularity(args: argparse.Namespace, spec: RunSpec) -> int:
@@ -226,10 +203,15 @@ def cmd_simulate(args: argparse.Namespace, spec: RunSpec) -> int:
     options = _options_from(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    summary: list[str] = []
+    status = 0
     for protocol in protocols:
-        cfg_a = select_params(protocol, delta_a, options)
-        cfg_b = select_params(protocol, delta_b, options)
+        try:
+            cfg_a = select_params(protocol, delta_a, options)
+            cfg_b = select_params(protocol, delta_b, options)
+        except SelectionError as exc:
+            print(f"{protocol}: error:{escape_error(str(exc))}")
+            status = 1
+            continue
         dist = latency_trials(cfg_a, cfg_b, args.trials, args.seed)
         _write_lines(
             str(out_dir / f"{protocol}_trials.csv"), trials_csv_rows(dist), spec
@@ -241,7 +223,7 @@ def cmd_simulate(args: argparse.Namespace, spec: RunSpec) -> int:
             value = worst_case_bound(set_a, set_b)
             bound = " bound=unbounded" if value is None else f" bound={value}"
         peak = max(dist.latencies) if dist.latencies else ""
-        summary.append(
+        print(
             f"{protocol}: node_a={format_params(cfg_a.params)} "
             f"(achieved {format_rational(cfg_a.achieved_delta * 100)}%) "
             f"node_b={format_params(cfg_b.params)} "
@@ -249,9 +231,7 @@ def cmd_simulate(args: argparse.Namespace, spec: RunSpec) -> int:
             f"trials={dist.trial_count} undiscovered={dist.undiscovered_count} "
             f"max_latency={peak}{bound}"
         )
-    for line in summary:
-        print(line)
-    return 0
+    return status
 
 
 # --------------------------------------------------------------------------
@@ -334,15 +314,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    spec = RunSpec(
-        command=args.command,
-        argv=tuple(argv),
-        seed=getattr(args, "seed", 0),
-        out=getattr(args, "out", None),
-    )
+    spec = RunSpec(argv=tuple(argv), seed=getattr(args, "seed", 0))
     try:
         return args.func(args, spec)
-    except (NotationError, ParameterError, SelectionError, ScanBudgetError, ValueError) as exc:
+    except (ScanBudgetError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

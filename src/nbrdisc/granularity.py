@@ -22,8 +22,6 @@ from typing import Iterable, Optional, Sequence
 
 from .protocols import (
     ProtocolParams,
-    ParameterError,
-    SelectionError,
     SelectionOptions,
     as_fraction,
     format_params,
@@ -83,7 +81,7 @@ def sweep(
         for delta in ordered:
             try:
                 records.append(relative_error(protocol, delta, options))
-            except (SelectionError, ParameterError, ValueError) as exc:
+            except ValueError as exc:
                 records.append(
                     GranularityRecord(protocol, delta, None, None, None, str(exc))
                 )
@@ -153,6 +151,11 @@ def format_rational(value) -> str:
     return f"{float(value):.12g}"
 
 
+def escape_error(message: str) -> str:
+    """Error message safe in one quoted CSV cell: ',' -> ';' and '"' -> "'"."""
+    return message.replace(",", ";").replace('"', "'")
+
+
 def granularity_csv_rows(
     records: Iterable[GranularityRecord],
     include_todis_bound: bool = False,
@@ -175,13 +178,12 @@ def granularity_csv_rows(
                 '"%s"' % format_params(rec.params),
             ]
         else:
-            message = rec.error.replace(",", ";").replace('"', "'")
             row = [
                 rec.protocol,
                 format_rational(rec.desired_delta),
                 "",
                 "",
-                '"error:%s"' % message,
+                '"error:%s"' % escape_error(rec.error),
             ]
         if include_todis_bound:
             if rec.desired_delta not in bound_cache:

@@ -12,6 +12,10 @@ combines a prime stride with a half-row of consecutive slots per p**2
 hyperperiod, and searchlight strides anchors t**i apart with one striped
 probe per sub-period.
 
+Each protocol is described in one place, its ``*Params`` class, and listed
+in the :data:`PROTOCOLS` registry; the module-level functions below look
+the answer up on the parameter value or its class.
+
 :func:`select_params` picks, for a requested duty cycle, the protocol
 parameter whose achieved duty cycle lies closest.  All comparisons use
 exact rational arithmetic so near-ties resolve identically everywhere.
@@ -20,15 +24,19 @@ exact rational arithmetic so near-ties resolve identically everywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import re
+from bisect import bisect_left
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Optional, Union
+from typing import ClassVar, Iterable, Optional
 
 from .numtheory import primes_up_to
 from .schedule import Schedule
 
-PROTOCOL_ORDER = ("disco", "uconnect", "searchlight", "hedis", "todis")
+# Primes searched by the disco and uconnect selectors: keeps searched
+# periods desk-sized while comfortably covering duty cycles down to 1%.
+PRIME_POOL_LIMIT = 10_000
 
 
 class ParameterError(ValueError):
@@ -58,86 +66,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-# --------------------------------------------------------------------------
-# Parameter types (validated on construction)
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HedisParams:
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 3:
-            raise ParameterError(f"hedis needs n >= 3, got {self.n}")
-
-
-@dataclass(frozen=True)
-class TodisParams:
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 5 or self.n % 2 == 0:
-            raise ParameterError(f"todis needs an odd n >= 5, got {self.n}")
-
-
-@dataclass(frozen=True)
-class DiscoParams:
-    p1: int
-    p2: int
-
-    def __post_init__(self) -> None:
-        if self.p1 == self.p2:
-            raise ParameterError(f"disco needs distinct primes, got {self.p1} twice")
-        for p in (self.p1, self.p2):
-            if not _is_prime(p):
-                raise ParameterError(f"disco parameter {p} is not prime")
-
-
-@dataclass(frozen=True)
-class UConnectParams:
-    p: int
-
-    def __post_init__(self) -> None:
-        if self.p == 2 or not _is_prime(self.p):
-            raise ParameterError(f"uconnect needs an odd prime, got {self.p}")
-
-
-@dataclass(frozen=True)
-class SearchlightParams:
-    t: int
-    i: int
-
-    def __post_init__(self) -> None:
-        if self.t < 2:
-            raise ParameterError(f"searchlight needs t >= 2, got {self.t}")
-        if self.i < 1:
-            raise ParameterError(f"searchlight needs i >= 1, got {self.i}")
-
-
-ProtocolParams = Union[
-    HedisParams, TodisParams, DiscoParams, UConnectParams, SearchlightParams
-]
-
-_TAGS = {
-    HedisParams: "hedis",
-    TodisParams: "todis",
-    DiscoParams: "disco",
-    UConnectParams: "uconnect",
-    SearchlightParams: "searchlight",
-}
-
-
-def protocol_tag(params: ProtocolParams) -> str:
-    """Protocol name ('hedis', 'todis', ...) for a parameter value."""
-    return _TAGS[type(params)]
-
-
-# --------------------------------------------------------------------------
-# Schedule construction
-# --------------------------------------------------------------------------
-
-
 def coprimality_schedule(divisors: Iterable[int]) -> Schedule:
     """Divisibility schedule: slot t is active iff some divisor divides t.
 
@@ -158,6 +86,273 @@ def coprimality_schedule(divisors: Iterable[int]) -> Schedule:
     return Schedule(period, frozenset(active))
 
 
+def todis_duty(n: int) -> Fraction:
+    """Closed-form todis duty cycle 3*(n*n - n - 1) / (n * (n*n - 4))."""
+    return Fraction(3 * (n * n - n - 1), n * (n * n - 4))
+
+
+@lru_cache(maxsize=None)
+def _prime_pool() -> tuple[int, ...]:
+    return tuple(primes_up_to(PRIME_POOL_LIMIT))
+
+
+# --------------------------------------------------------------------------
+# Protocols: one frozen dataclass each, validated on construction
+# --------------------------------------------------------------------------
+
+
+class ProtocolParams:
+    """Base of the five parameter classes; each subclass is one protocol.
+
+    A subclass is a frozen dataclass whose fields are the protocol's
+    parameters in notation order.  It provides ``name``, the ``period`` and
+    exact ``duty`` implied by its parameters (without building the
+    schedule), ``build()`` and the classmethod ``select(delta, options)``.
+    ``divisors`` is the divisor set of a pure divisibility schedule and None
+    for grid schedules; ``rendezvous``, the integer set entering the
+    co-primality rendezvous bound, equals ``divisors`` unless overridden.
+    """
+
+    name: ClassVar[str]
+    divisors: Optional[frozenset[int]] = None
+
+    @property
+    def rendezvous(self) -> Optional[frozenset[int]]:
+        return self.divisors
+
+    def build(self) -> Schedule:  # grid schedules override
+        return coprimality_schedule(self.divisors)
+
+
+@dataclass(frozen=True)
+class DiscoParams(ProtocolParams):
+    """disco: wake at every multiple of two distinct primes p1, p2."""
+
+    name = "disco"
+    p1: int
+    p2: int
+
+    def __post_init__(self) -> None:
+        if self.p1 == self.p2:
+            raise ParameterError(f"disco needs distinct primes, got {self.p1} twice")
+        for p in (self.p1, self.p2):
+            if not _is_prime(p):
+                raise ParameterError(f"disco parameter {p} is not prime")
+
+    @property
+    def period(self) -> int:
+        return self.p1 * self.p2
+
+    @property
+    def duty(self) -> Fraction:
+        return Fraction(self.p1 + self.p2 - 1, self.p1 * self.p2)
+
+    @property
+    def divisors(self) -> frozenset[int]:
+        return frozenset({self.p1, self.p2})
+
+    @classmethod
+    def select(cls, delta: Fraction, options: SelectionOptions) -> DiscoParams:
+        primes = _prime_pool()
+        num, den = delta.numerator, delta.denominator
+
+        # disco runs balanced: each node pairs a prime with the next one, so
+        # the achieved duty cycle is roughly 2/p1 and the granularity is
+        # limited by the prime gaps.  The pair duty decreases strictly along
+        # the pair list; bisect the first pair at or below delta and compare
+        # neighbors exactly, ties going to the larger pair.
+        def below(i: int) -> bool:
+            p, q = primes[i], primes[i + 1]
+            return (p + q - 1) * den <= num * p * q
+
+        def error(i: int) -> tuple[Fraction, int]:
+            p, q = primes[i], primes[i + 1]
+            return abs(Fraction(p + q - 1, p * q) - delta), -p
+
+        lo = bisect_left(range(len(primes) - 1), True, key=below)
+        best = min((i for i in (lo - 1, lo) if 0 <= i < len(primes) - 1), key=error)
+        return cls(primes[best], primes[best + 1])
+
+
+@dataclass(frozen=True)
+class UConnectParams(ProtocolParams):
+    """uconnect: multiples of an odd prime p plus a half-row per p**2 slots."""
+
+    name = "uconnect"
+    p: int
+
+    def __post_init__(self) -> None:
+        if self.p == 2 or not _is_prime(self.p):
+            raise ParameterError(f"uconnect needs an odd prime, got {self.p}")
+
+    @property
+    def period(self) -> int:
+        return self.p * self.p
+
+    @property
+    def duty(self) -> Fraction:
+        return Fraction(3 * self.p - 1, 2 * self.p * self.p)
+
+    @property
+    def rendezvous(self) -> frozenset[int]:
+        return frozenset({self.p})
+
+    def build(self) -> Schedule:
+        active = set(range(0, self.period, self.p))
+        active.update(range((self.p + 1) // 2))
+        return Schedule(self.period, frozenset(active))
+
+    @classmethod
+    def select(cls, delta: Fraction, options: SelectionOptions) -> UConnectParams:
+        primes = _prime_pool()[1:]  # odd primes: the pool starts at 2
+        num, den = delta.numerator, delta.denominator
+
+        def below(p: int) -> bool:  # (3p - 1) / (2 p^2) <= delta, in integers
+            return (3 * p - 1) * den <= num * 2 * p * p
+
+        lo = bisect_left(primes, True, key=below)
+        candidates = [primes[j] for j in (lo - 1, lo) if 0 <= j < len(primes)]
+        best = min(
+            candidates,
+            key=lambda p: (abs(Fraction(3 * p - 1, 2 * p * p) - delta), p),
+        )
+        return cls(best)
+
+
+@dataclass(frozen=True)
+class SearchlightParams(ProtocolParams):
+    """searchlight: anchors every t**i slots plus one striped probe each."""
+
+    name = "searchlight"
+    t: int
+    i: int
+
+    def __post_init__(self) -> None:
+        if self.t < 2:
+            raise ParameterError(f"searchlight needs t >= 2, got {self.t}")
+        if self.i < 1:
+            raise ParameterError(f"searchlight needs i >= 1, got {self.i}")
+
+    @property
+    def period(self) -> int:
+        stride = self.t**self.i
+        return stride * ((stride + 1) // 2)
+
+    @property
+    def duty(self) -> Fraction:
+        return Fraction(2, self.t**self.i)
+
+    def build(self) -> Schedule:
+        # sub-period j wakes at j*stride and 1 + j past it: j*(stride+1) + 1
+        stride = self.t**self.i
+        anchors = range(0, self.period, stride)
+        probes = range(1, self.period, stride + 1)
+        return Schedule(self.period, frozenset(anchors).union(probes))
+
+    @classmethod
+    def select(cls, delta: Fraction, options: SelectionOptions) -> SearchlightParams:
+        t = options.searchlight_t
+        i = 1
+        while Fraction(2, t**i) > delta:
+            i += 1
+        candidates = [i] if i == 1 else [i - 1, i]
+        best = min(candidates, key=lambda j: (abs(Fraction(2, t**j) - delta), j))
+        return cls(t, best)
+
+
+@dataclass(frozen=True)
+class HedisParams(ProtocolParams):
+    """hedis: anchors at multiples of n, probes at (n+1)*i + 1, period n*(n-1)."""
+
+    name = "hedis"
+    n: int
+
+    def __post_init__(self) -> None:
+        if self.n < 3:
+            raise ParameterError(f"hedis needs n >= 3, got {self.n}")
+
+    @property
+    def period(self) -> int:
+        return self.n * (self.n - 1)
+
+    @property
+    def duty(self) -> Fraction:
+        return Fraction(2, self.n)
+
+    def build(self) -> Schedule:
+        anchors = range(0, self.period, self.n)
+        probes = range(1, (self.n + 1) * (self.n - 2) + 2, self.n + 1)
+        return Schedule(self.period, frozenset(anchors).union(probes))
+
+    @classmethod
+    def select(cls, delta: Fraction, options: SelectionOptions) -> HedisParams:
+        rem = 0 if options.hedis_parity == "even" else 1
+        n_min = 4 if rem == 0 else 3
+        # 2/n decreases in n: take the smallest parity-matching n with
+        # 2/n <= delta and its predecessor, then compare exactly.
+        raw = (2 * delta.denominator + delta.numerator - 1) // delta.numerator
+        hi = raw if raw % 2 == rem else raw + 1
+        hi = max(hi, n_min)
+        candidates = [n for n in (hi - 2, hi) if n >= n_min]
+        best = min(candidates, key=lambda n: (abs(Fraction(2, n) - delta), n))
+        return cls(best)
+
+
+@dataclass(frozen=True)
+class TodisParams(ProtocolParams):
+    """todis: wake at every multiple of n-2, n and n+2 (n odd)."""
+
+    name = "todis"
+    n: int
+
+    def __post_init__(self) -> None:
+        if self.n < 5 or self.n % 2 == 0:
+            raise ParameterError(f"todis needs an odd n >= 5, got {self.n}")
+
+    @property
+    def period(self) -> int:
+        return (self.n - 2) * self.n * (self.n + 2)
+
+    @property
+    def duty(self) -> Fraction:
+        return todis_duty(self.n)
+
+    @property
+    def divisors(self) -> frozenset[int]:
+        return frozenset({self.n - 2, self.n, self.n + 2})
+
+    @classmethod
+    def select(cls, delta: Fraction, options: SelectionOptions) -> TodisParams:
+        num, den = delta.numerator, delta.denominator
+        n_max = options.todis_max_n if options.todis_max_n % 2 else options.todis_max_n - 1
+
+        def below(n: int) -> bool:  # todis_duty(n) <= delta, in integers
+            return 3 * (n * n - n - 1) * den <= num * n * (n * n - 4)
+
+        # duty decreases in n: bisect the first odd n with duty <= delta.
+        boundary = 5 + 2 * bisect_left(range(5, n_max + 1, 2), True, key=below)
+        candidates = [n for n in (boundary - 2, boundary) if 5 <= n <= n_max]
+        best = min(candidates, key=lambda n: (abs(todis_duty(n) - delta), n))
+        return cls(best)
+
+
+PROTOCOLS: dict[str, type[ProtocolParams]] = {
+    cls.name: cls
+    for cls in (DiscoParams, UConnectParams, SearchlightParams, HedisParams, TodisParams)
+}
+PROTOCOL_ORDER = tuple(PROTOCOLS)
+
+
+def protocol_tag(params: ProtocolParams) -> str:
+    """Protocol name ('hedis', 'todis', ...) for a parameter value."""
+    return params.name
+
+
+# --------------------------------------------------------------------------
+# Schedule construction
+# --------------------------------------------------------------------------
+
+
 def hedis_schedule(n: int) -> Schedule:
     """Anchor/probing grid schedule with period n*(n-1) and duty cycle 2/n.
 
@@ -165,11 +360,7 @@ def hedis_schedule(n: int) -> Schedule:
     [0, n-2]; the two sets never collide, so exactly 2*(n-1) slots are
     active per period.
     """
-    HedisParams(n)  # validate
-    period = n * (n - 1)
-    anchors = range(0, period, n)
-    probes = range(1, (n + 1) * (n - 2) + 2, n + 1)
-    return Schedule(period, frozenset(anchors).union(probes))
+    return HedisParams(n).build()
 
 
 def todis_schedule(n: int) -> Schedule:
@@ -177,14 +368,12 @@ def todis_schedule(n: int) -> Schedule:
 
     The duty cycle is exactly 3*(n*n - n - 1) / (n * (n*n - 4)).
     """
-    TodisParams(n)  # validate
-    return coprimality_schedule({n - 2, n, n + 2})
+    return TodisParams(n).build()
 
 
 def disco_schedule(p1: int, p2: int) -> Schedule:
     """Prime-pair divisibility schedule; duty cycle 1/p1 + 1/p2 - 1/(p1*p2)."""
-    DiscoParams(p1, p2)  # validate
-    return coprimality_schedule({p1, p2})
+    return DiscoParams(p1, p2).build()
 
 
 def uconnect_schedule(p: int) -> Schedule:
@@ -194,11 +383,7 @@ def uconnect_schedule(p: int) -> Schedule:
     first (p+1)/2 slots; slot 0 belongs to both groups and is counted once,
     so the measured duty cycle is (3p - 1) / (2 p**2).
     """
-    UConnectParams(p)  # validate
-    period = p * p
-    active = set(range(0, period, p))
-    active.update(range((p + 1) // 2))
-    return Schedule(period, frozenset(active))
+    return UConnectParams(p).build()
 
 
 def searchlight_schedule(t: int, i: int) -> Schedule:
@@ -209,66 +394,22 @@ def searchlight_schedule(t: int, i: int) -> Schedule:
     anchor, sweeping every offset a probe may need to meet a drifted
     neighbor.
     """
-    SearchlightParams(t, i)  # validate
-    stride = t**i
-    half = (stride + 1) // 2
-    active: set[int] = set()
-    for j in range(half):
-        active.add(j * stride)
-        offset = 1 + (j % half)
-        if offset < stride:
-            active.add(j * stride + offset)
-    return Schedule(stride * half, frozenset(active))
-
-
-_BUILDERS = {
-    HedisParams: lambda p: hedis_schedule(p.n),
-    TodisParams: lambda p: todis_schedule(p.n),
-    DiscoParams: lambda p: disco_schedule(p.p1, p.p2),
-    UConnectParams: lambda p: uconnect_schedule(p.p),
-    SearchlightParams: lambda p: searchlight_schedule(p.t, p.i),
-}
+    return SearchlightParams(t, i).build()
 
 
 def build_schedule(params: ProtocolParams) -> Schedule:
     """Construct the wake-up schedule for any parameter value."""
-    return _BUILDERS[type(params)](params)
-
-
-def todis_duty(n: int) -> Fraction:
-    """Closed-form todis duty cycle 3*(n*n - n - 1) / (n * (n*n - 4))."""
-    return Fraction(3 * (n * n - n - 1), n * (n * n - 4))
+    return params.build()
 
 
 def achieved_duty(params: ProtocolParams) -> Fraction:
     """Exact duty cycle implied by the parameters, without building the schedule."""
-    if isinstance(params, HedisParams):
-        return Fraction(2, params.n)
-    if isinstance(params, TodisParams):
-        return todis_duty(params.n)
-    if isinstance(params, DiscoParams):
-        return Fraction(params.p1 + params.p2 - 1, params.p1 * params.p2)
-    if isinstance(params, UConnectParams):
-        return Fraction(3 * params.p - 1, 2 * params.p * params.p)
-    if isinstance(params, SearchlightParams):
-        return Fraction(2, params.t**params.i)
-    raise TypeError(f"unknown parameter type {type(params).__name__}")
+    return params.duty
 
 
 def schedule_period(params: ProtocolParams) -> int:
     """Schedule period implied by the parameters, without building the schedule."""
-    if isinstance(params, HedisParams):
-        return params.n * (params.n - 1)
-    if isinstance(params, TodisParams):
-        return (params.n - 2) * params.n * (params.n + 2)
-    if isinstance(params, DiscoParams):
-        return params.p1 * params.p2
-    if isinstance(params, UConnectParams):
-        return params.p * params.p
-    if isinstance(params, SearchlightParams):
-        stride = params.t**params.i
-        return stride * ((stride + 1) // 2)
-    raise TypeError(f"unknown parameter type {type(params).__name__}")
+    return params.period
 
 
 def divisor_set(params: ProtocolParams) -> Optional[frozenset[int]]:
@@ -278,18 +419,12 @@ def divisor_set(params: ProtocolParams) -> Optional[frozenset[int]]:
     uconnect's extra half-row disqualifies it even though it carries a
     prime parameter.
     """
-    if isinstance(params, TodisParams):
-        return frozenset({params.n - 2, params.n, params.n + 2})
-    if isinstance(params, DiscoParams):
-        return frozenset({params.p1, params.p2})
-    return None
+    return params.divisors
 
 
 def parameter_set(params: ProtocolParams) -> Optional[frozenset[int]]:
     """Integer set entering the co-primality rendezvous bound, if any."""
-    if isinstance(params, UConnectParams):
-        return frozenset({params.p})
-    return divisor_set(params)
+    return params.rendezvous
 
 
 # --------------------------------------------------------------------------
@@ -302,15 +437,14 @@ class SelectionOptions:
     """Knobs for :func:`select_params`.
 
     ``hedis_parity`` is a deployment-wide setting: keeping every node's n
-    on one parity is what guarantees hedis rendezvous network-wide.  The
-    pool limits keep searched periods desk-sized while comfortably covering
-    duty cycles down to 1%.
+    on one parity is what guarantees hedis rendezvous network-wide.
+    ``todis_max_n`` bounds the todis search; with :data:`PRIME_POOL_LIMIT`
+    it keeps searched periods desk-sized while comfortably covering duty
+    cycles down to 1%.
     """
 
     hedis_parity: str = "even"
     searchlight_t: int = 2
-    disco_prime_limit: int = 10_000
-    uconnect_prime_limit: int = 10_000
     todis_max_n: int = 1201
 
     def __post_init__(self) -> None:
@@ -318,8 +452,6 @@ class SelectionOptions:
             raise ValueError(f"hedis_parity must be 'even' or 'odd', got {self.hedis_parity!r}")
         if self.searchlight_t < 2:
             raise ValueError(f"searchlight_t must be >= 2, got {self.searchlight_t}")
-        if self.disco_prime_limit < 3 or self.uconnect_prime_limit < 3:
-            raise ValueError("prime limits must be >= 3")
         if self.todis_max_n < 5:
             raise ValueError(f"todis_max_n must be >= 5, got {self.todis_max_n}")
 
@@ -356,124 +488,9 @@ def as_fraction(value) -> Fraction:
     return Fraction(value)
 
 
-def _select_hedis(delta: Fraction, options: SelectionOptions) -> HedisParams:
-    rem = 0 if options.hedis_parity == "even" else 1
-    n_min = 4 if rem == 0 else 3
-    # 2/n decreases in n: take the smallest parity-matching n with 2/n <= delta
-    # and its predecessor, then compare exactly.
-    raw = (2 * delta.denominator + delta.numerator - 1) // delta.numerator
-    hi = raw if raw % 2 == rem else raw + 1
-    hi = max(hi, n_min)
-    candidates = [n for n in (hi - 2, hi) if n >= n_min]
-    best = min(candidates, key=lambda n: (abs(Fraction(2, n) - delta), n))
-    return HedisParams(best)
-
-
-def _select_todis(delta: Fraction, options: SelectionOptions) -> TodisParams:
-    num, den = delta.numerator, delta.denominator
-    n_max = options.todis_max_n if options.todis_max_n % 2 else options.todis_max_n - 1
-
-    def below(n: int) -> bool:  # todis_duty(n) <= delta, in integers
-        return 3 * (n * n - n - 1) * den <= num * n * (n * n - 4)
-
-    # duty decreases in n: binary search the first odd n with duty <= delta.
-    lo_i, hi_i = 0, (n_max - 5) // 2 + 1
-    while lo_i < hi_i:
-        mid = (lo_i + hi_i) // 2
-        if below(5 + 2 * mid):
-            hi_i = mid
-        else:
-            lo_i = mid + 1
-    boundary = 5 + 2 * lo_i
-    candidates = [n for n in (boundary - 2, boundary) if 5 <= n <= n_max]
-    best = min(candidates, key=lambda n: (abs(todis_duty(n) - delta), n))
-    return TodisParams(best)
-
-
-def _select_disco(delta: Fraction, options: SelectionOptions) -> DiscoParams:
-    primes = _prime_pool(options.disco_prime_limit)
-    if len(primes) < 2:
-        raise SelectionError("disco prime pool has fewer than two primes")
-    num, den = delta.numerator, delta.denominator
-
-    # disco runs balanced: each node pairs a prime with the next one, so the
-    # achieved duty cycle is roughly 2/p1 and the granularity is limited by
-    # the prime gaps.  The pair duty decreases strictly along the pair list;
-    # bisect the first pair at or below delta and compare neighbors exactly.
-    def below(i: int) -> bool:
-        p, q = primes[i], primes[i + 1]
-        return (p + q - 1) * den <= num * p * q
-
-    lo, hi = 0, len(primes) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if below(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    best = None  # (error, -p1, p1*p2, p1, p2)
-    for i in (lo - 1, lo):
-        if not 0 <= i < len(primes) - 1:
-            continue
-        p, q = primes[i], primes[i + 1]
-        key = (abs(Fraction(p + q - 1, p * q) - delta), -p, p * q, p, q)
-        if best is None or key < best:
-            best = key
-    assert best is not None
-    return DiscoParams(best[3], best[4])
-
-
-def _select_uconnect(delta: Fraction, options: SelectionOptions) -> UConnectParams:
-    primes = [p for p in _prime_pool(options.uconnect_prime_limit) if p != 2]
-    if not primes:
-        raise SelectionError("uconnect prime pool is empty")
-    num, den = delta.numerator, delta.denominator
-
-    def below(p: int) -> bool:  # (3p - 1) / (2 p^2) <= delta, in integers
-        return (3 * p - 1) * den <= num * 2 * p * p
-
-    lo, hi = 0, len(primes)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if below(primes[mid]):
-            hi = mid
-        else:
-            lo = mid + 1
-    candidates = [primes[j] for j in (lo - 1, lo) if 0 <= j < len(primes)]
-    best = min(
-        candidates,
-        key=lambda p: (abs(Fraction(3 * p - 1, 2 * p * p) - delta), p),
-    )
-    return UConnectParams(best)
-
-
-def _select_searchlight(delta: Fraction, options: SelectionOptions) -> SearchlightParams:
-    t = options.searchlight_t
-    i = 1
-    while Fraction(2, t**i) > delta:
-        i += 1
-    candidates = [i] if i == 1 else [i - 1, i]
-    best = min(candidates, key=lambda j: (abs(Fraction(2, t**j) - delta), j))
-    return SearchlightParams(t, best)
-
-
-@lru_cache(maxsize=64)
-def _prime_pool(limit: int) -> tuple[int, ...]:
-    return tuple(primes_up_to(limit))
-
-
-_SELECTORS = {
-    "hedis": _select_hedis,
-    "todis": _select_todis,
-    "disco": _select_disco,
-    "uconnect": _select_uconnect,
-    "searchlight": _select_searchlight,
-}
-
-
 @lru_cache(maxsize=4096)
 def _select(protocol: str, delta: Fraction, options: SelectionOptions) -> ProtocolParams:
-    return _SELECTORS[protocol](delta, options)
+    return PROTOCOLS[protocol].select(delta, options)
 
 
 def select_params(
@@ -488,7 +505,7 @@ def select_params(
     Raises :class:`SelectionError` when even the best candidate misses the
     target by 100% or more.
     """
-    if protocol not in _SELECTORS:
+    if protocol not in PROTOCOLS:
         raise NotationError(f"unknown protocol '{protocol}'")
     delta = as_fraction(delta)
     if not 0 < delta <= 1:
@@ -507,52 +524,39 @@ def select_params(
 # Textual notation (CLI wire format)
 # --------------------------------------------------------------------------
 
-_PARAM_FIELDS = {
-    "hedis": ("n",),
-    "todis": ("n",),
-    "disco": ("p1", "p2"),
-    "uconnect": ("p",),
-    "searchlight": ("t", "i"),
-}
-
-_PARAM_TYPES = {
-    "hedis": HedisParams,
-    "todis": TodisParams,
-    "disco": DiscoParams,
-    "uconnect": UConnectParams,
-    "searchlight": SearchlightParams,
-}
-
 
 def format_params(params: ProtocolParams) -> str:
     """Textual notation, e.g. ``hedis:n=40`` or ``disco:p1=37,p2=43``."""
-    tag = protocol_tag(params)
-    fields = _PARAM_FIELDS[tag]
-    body = ",".join(f"{name}={getattr(params, name)}" for name in fields)
-    return f"{tag}:{body}"
+    body = ",".join(f"{f.name}={getattr(params, f.name)}" for f in fields(params))
+    return f"{params.name}:{body}"
 
 
 def parse_params(text: str) -> ProtocolParams:
-    """Parse the textual notation produced by :func:`format_params`."""
+    """Parse the textual notation produced by :func:`format_params`.
+
+    Values must be plain decimal integers (``-?[0-9]+``); range checks are
+    left to the parameter class.
+    """
     name, sep, rest = text.strip().partition(":")
-    if name not in _PARAM_TYPES:
+    if name not in PROTOCOLS:
         raise NotationError(f"unknown protocol '{name}'")
     if not sep or not rest:
         raise NotationError(f"missing parameters after '{name}:'")
+    cls = PROTOCOLS[name]
+    names = [f.name for f in fields(cls)]
     values: dict[str, int] = {}
     for token in rest.split(","):
         key, eq, val = token.partition("=")
         if not eq:
             raise NotationError(f"bad parameter token '{token}' (expected key=value)")
-        if key not in _PARAM_FIELDS[name]:
+        if key not in names:
             raise NotationError(f"unexpected parameter '{key}' for {name}")
         if key in values:
             raise NotationError(f"duplicate parameter '{key}'")
-        try:
-            values[key] = int(val)
-        except ValueError:
-            raise NotationError(f"parameter '{token}' is not an integer") from None
-    missing = [f for f in _PARAM_FIELDS[name] if f not in values]
+        if not re.fullmatch(r"-?[0-9]+", val):
+            raise NotationError(f"parameter '{token}' is not an integer")
+        values[key] = int(val)
+    missing = [f for f in names if f not in values]
     if missing:
         raise NotationError(f"missing parameter '{missing[0]}' for {name}")
-    return _PARAM_TYPES[name](**values)
+    return cls(**values)

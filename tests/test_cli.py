@@ -201,3 +201,52 @@ def test_cmd_simulate_rerun_identical(tmp_path):
     assert main(args) == 0
     second = {n: (tmp_path / "sim" / n).read_bytes() for n in names}
     assert first == second
+
+
+def test_cmd_simulate_reports_failed_protocol_in_row(tmp_path, capsys):
+    # todis cannot reach 0.1% within its search pool; the others still run.
+    out_dir = tmp_path / "sim"
+    code = main(
+        [
+            "simulate",
+            "--protocols",
+            "all",
+            "--delta-a",
+            "0.1%",
+            "--delta-b",
+            "5%",
+            "--trials",
+            "10",
+            "--out",
+            str(out_dir),
+        ]
+    )
+    assert code == 1
+    lines = capsys.readouterr().out.splitlines()
+    good = ["disco", "uconnect", "searchlight", "hedis"]
+    assert [line.split(":", 1)[0] for line in lines] == good + ["todis"]
+    assert all("undiscovered=0" in line for line in lines[:-1])
+    assert lines[-1].startswith("todis: error:todis cannot approximate duty cycle 1/1000")
+    assert sorted(p.name for p in out_dir.iterdir()) == sorted(
+        f"{protocol}_{kind}.csv" for protocol in good for kind in ("trials", "cdf")
+    )
+
+
+def test_cmd_schedule_rejects_negative_limit(capsys):
+    assert main(["schedule", "hedis:n=5", "--limit", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--limit must be >= 0" in captured.err
+
+
+@pytest.mark.parametrize("value", ["4_0", "+40", " 40", "٤٠", "0x28", ""])
+def test_cmd_verify_rejects_non_decimal_parameter(value, capsys):
+    assert main(["verify", f"hedis:n={value}", "hedis:n=6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "is not an integer" in captured.err
+
+
+def test_negative_parameter_reaches_range_check(capsys):
+    assert main(["schedule", "hedis:n=-5"]) == 2
+    assert "hedis needs n >= 3, got -5" in capsys.readouterr().err
