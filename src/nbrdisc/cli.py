@@ -32,11 +32,12 @@ from .protocols import (
     parse_params,
     select_params,
 )
-from .numtheory import worst_case_bound
+from .numtheory import lcm, worst_case_bound
 from .schedule import duty_cycle
 from .simulator import (
     ScanBudgetError,
     cdf_csv_rows,
+    check_drift_budget,
     latency_trials,
     trials_csv_rows,
     verify_all_drifts,
@@ -172,11 +173,12 @@ def cmd_granularity(args: argparse.Namespace, spec: RunSpec) -> int:
 
 
 def cmd_verify(args: argparse.Namespace, spec: RunSpec) -> int:
-    sched_a = build_schedule(parse_params(args.spec_a))
-    sched_b = build_schedule(parse_params(args.spec_b))
+    params_a, params_b = parse_params(args.spec_a), parse_params(args.spec_b)
+    if args.sample is None:
+        check_drift_budget(lcm(params_a.period, params_b.period), args.max_work)
     result = verify_all_drifts(
-        sched_a,
-        sched_b,
+        build_schedule(params_a),
+        build_schedule(params_b),
         max_work=args.max_work,
         sample=args.sample,
         seed=args.seed,
@@ -184,8 +186,8 @@ def cmd_verify(args: argparse.Namespace, spec: RunSpec) -> int:
     mean = "" if result.mean_latency is None else format_rational(result.mean_latency)
     peak = "" if result.max_latency is None else str(result.max_latency)
     lines = [
-        f"schedule_a={args.spec_a}",
-        f"schedule_b={args.spec_b}",
+        f"schedule_a={format_params(params_a)}",
+        f"schedule_b={format_params(params_b)}",
         f"all_discover={str(result.all_discover).lower()}",
         f"max_latency={peak}",
         f"mean_latency={mean}",

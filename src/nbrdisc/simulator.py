@@ -10,12 +10,14 @@ Three engines compute the same answer.  The scan engine walks the sparser
 schedule's wake slots in time order and set-probes the other schedule; its
 cost is the discovery latency times the walked duty cycle.  The analytic
 engine applies to pure divisibility schedules: for every cross pair (x, y)
-of the two divisor sets it solves t = 0 (mod x), t = -d (mod y) and takes
-the smallest solvable base.  The class sweep answers every drift at once:
-b's pattern, and so the first meeting, depends only on d mod T_b, so one
-time-ordered walk over a's wake slots, crossed with b's wake slots, settles
-each of the T_b drift classes at its first meeting and stops once all are
-settled.
+of the two divisor sets, with g = gcd(x, y), it solves t = 0 (mod x),
+t = -g (mod y) once per node pair; a drift d then meets on that pair only
+if g divides d, at d/g times that solution modulo lcm(x, y), and the answer
+is the smallest such slot over the pairs.  The class sweep answers every
+drift at once: b's pattern, and so the first meeting, depends only on
+d mod T_b, so one time-ordered walk over a's wake slots, crossed with b's
+wake slots, settles each of the T_b drift classes at its first meeting and
+stops once all are settled.
 
 On top of these sit exhaustive/sampled drift verification, seeded
 Monte-Carlo latency trials (drifts drawn per-trial from a counter-based
@@ -29,6 +31,7 @@ is never larger than the rows returned; otherwise they scan per drift.
 from __future__ import annotations
 
 import hashlib
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
@@ -165,25 +168,42 @@ def first_discovery(pair: DriftedPair, horizon: Optional[int] = None) -> Discove
     return result
 
 
+def _analytic_latency(
+    na: Iterable[int], nb: Iterable[int]
+) -> Callable[[int], Optional[int]]:
+    """First discovery slot (or None) of a drift between divisibility schedules.
+
+    Solves each cross pair (x, y) once, for drift g = gcd(x, y): the pair
+    meets under drift d iff g divides d, and (d/g) times the solution for
+    g is then the solution for d, unique modulo lcm(x, y).
+    """
+    xs, ys = set(na), set(nb)
+    if not xs or not ys:
+        raise ValueError("divisor sets must be non-empty")
+    pairs = []
+    for x in xs:
+        for y in ys:
+            g = math.gcd(x, y)
+            sol = solve_congruence_pair(0, x, -g, y)
+            pairs.append((g, sol.base, sol.modulus))
+    return lambda d: min(
+        (d // g * base % modulus for g, base, modulus in pairs if d % g == 0),
+        default=None,
+    )
+
+
 def first_discovery_analytic(
     na: Iterable[int], nb: Iterable[int], drift: int
 ) -> DiscoveryResult:
     """First discovery between two divisibility schedules under drift.
 
-    For each cross pair (x, y) solve t = 0 (mod x), t = -drift (mod y);
-    the answer is the smallest base over the solvable pairs.  Agrees slot
-    for slot with :func:`first_discovery` on the equivalent schedules.
+    Each cross pair (x, y) is solved once for drift gcd(x, y) and scaled
+    linearly by drift / gcd(x, y); the answer is the smallest slot over the
+    pairs that meet.  Agrees slot for slot with :func:`first_discovery` on
+    the equivalent schedules.
     """
-    xs, ys = set(na), set(nb)
-    if not xs or not ys:
-        raise ValueError("divisor sets must be non-empty")
-    best: Optional[int] = None
-    for x in xs:
-        for y in ys:
-            sol = solve_congruence_pair(0, x, -drift, y)
-            if sol.solvable and (best is None or sol.base < best):
-                best = sol.base
-    return DiscoveryResult(best is not None, best)
+    slot = _analytic_latency(na, nb)(drift)
+    return DiscoveryResult(slot is not None, slot)
 
 
 @dataclass(frozen=True)
@@ -195,6 +215,19 @@ class DriftVerification:
     mean_latency: Optional[float]
     exhaustive: bool
     drifts_checked: int
+
+
+def check_drift_budget(drifts: int, max_work: int) -> None:
+    """Refuse an exhaustive verification of more than ``max_work`` drifts.
+
+    The drift count lcm(T_a, T_b) follows from the parameters alone, so a
+    caller can refuse before building either schedule.
+    """
+    if drifts > max_work:
+        raise ScanBudgetError(
+            f"{drifts} drifts exceed the work guard {max_work}; "
+            "pass sample= to verify a seeded subset"
+        )
 
 
 def verify_all_drifts(
@@ -216,11 +249,7 @@ def verify_all_drifts(
     """
     horizon = lcm(a.period, b.period)
     if sample is None:
-        if horizon > max_work:
-            raise ScanBudgetError(
-                f"{horizon} drifts exceed the work guard {max_work}; "
-                "pass sample= to verify a seeded subset"
-            )
+        check_drift_budget(horizon, max_work)
         # Each class holds horizon // T_b drifts, so the per-class maximum
         # and mean are the per-drift ones; int/int division is correctly
         # rounded, so the mean is bit-identical to a per-drift average.
@@ -292,8 +321,7 @@ def latency_trials(
     div_a, div_b = divisor_set(cfg_a.params), divisor_set(cfg_b.params)
     horizon = lcm(schedule_period(cfg_a.params), schedule_period(cfg_b.params))
     if div_a is not None and div_b is not None:
-        def latency(d: int) -> Optional[int]:
-            return first_discovery_analytic(div_a, div_b, d).slot
+        latency = _analytic_latency(div_a, div_b)
     else:
         latency = _drift_latency(cfg_a.schedule, cfg_b.schedule, horizon, trials)
     rows: list[TrialResult] = []

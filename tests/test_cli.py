@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from nbrdisc import cli
 from nbrdisc.cli import main, parse_delta, parse_protocols, parse_sweep
 from nbrdisc.protocols import NotationError
 
@@ -145,6 +146,26 @@ def test_cmd_verify(capsys):
     out = capsys.readouterr().out
     assert "all_discover=true" in out
     assert "exhaustive=true" in out
+
+
+def test_cmd_verify_prints_canonical_specs(capsys):
+    assert main(["verify", "hedis:n=040", "hedis:n=6"]) == 0
+    out = capsys.readouterr().out
+    assert "# command: nbrdisc verify hedis:n=040 hedis:n=6" in out
+    assert "schedule_a=hedis:n=40\nschedule_b=hedis:n=6\n" in out
+
+
+def test_cmd_verify_refuses_oversized_exhaustive_run_before_building(
+    monkeypatch, capsys
+):
+    def no_build(params):
+        pytest.fail(f"built {params} before the work guard")
+
+    monkeypatch.setattr(cli, "build_schedule", no_build)
+    assert main(["verify", "todis:n=5001", "todis:n=4999"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceed the work guard 100000000" in captured.err
 
 
 def test_cmd_simulate_writes_files_and_summary(tmp_path, capsys):

@@ -5,15 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from nbrdisc.numtheory import lcm, worst_case_bound
+from nbrdisc.numtheory import lcm, solve_congruence_pair, worst_case_bound
 from nbrdisc.protocols import (
     coprimality_schedule,
+    divisor_set,
     hedis_schedule,
     select_params,
     todis_schedule,
 )
 from nbrdisc.schedule import make_schedule, rotate
 from nbrdisc.simulator import (
+    DiscoveryResult,
     DriftedPair,
     DriftVerification,
     LatencyDistribution,
@@ -110,6 +112,64 @@ def test_analytic_matches_scan_on_random_configs():
             DriftedPair(a, b, d)
         )
         checked += 1
+
+
+def _per_drift_analytic(na, nb, drift):
+    """Reference: every cross pair solved afresh for this one drift."""
+    bases = [
+        sol.base
+        for x in set(na)
+        for y in set(nb)
+        if (sol := solve_congruence_pair(0, x, -drift, y))
+    ]
+    return min(bases, default=None)
+
+
+def test_analytic_matches_per_drift_solver():
+    rng = random.Random(29)
+    # never-meeting sets, gcd > 1 pairs, singletons and sets holding 1
+    cases = [({33, 35}, {75, 77}), ({6}, {4}), ({7}, {7}), ({1}, {12}), ({9, 1}, {6})]
+    for _ in range(300):
+        cases.append((
+            {rng.randint(1, 60) for _ in range(rng.randint(1, 4))},
+            {rng.randint(1, 60) for _ in range(rng.randint(1, 4))},
+        ))
+    misses = 0
+    for na, nb in cases:
+        span = 1
+        for v in na | nb:
+            span = lcm(span, v)
+        drifts = [0, 1, -1, span, -span] + [
+            rng.randint(-3 * span, 3 * span) for _ in range(20)
+        ]
+        for d in drifts:
+            ref = _per_drift_analytic(na, nb, d)
+            misses += ref is None
+            assert first_discovery_analytic(na, nb, d) == DiscoveryResult(
+                ref is not None, ref
+            )
+    assert misses  # the never-meeting cases were exercised
+
+
+@pytest.mark.parametrize("protocol", ["disco", "todis"])
+def test_latency_trials_analytic_matches_per_drift_solver(protocol):
+    cfg_a = select_params(protocol, Fraction(1, 100))
+    cfg_b = select_params(protocol, Fraction(5, 100))
+    na, nb = divisor_set(cfg_a.params), divisor_set(cfg_b.params)
+    horizon = lcm(cfg_a.schedule.period, cfg_b.schedule.period)
+    dist = latency_trials(cfg_a, cfg_b, 500, seed=5)
+    assert len(dist.trials) == 500
+    for i, tr in enumerate(dist.trials):
+        assert tr.drift == trial_drift(5, i, horizon)
+        ref = _per_drift_analytic(na, nb, tr.drift)
+        assert (tr.latency, tr.discovered) == (ref, ref is not None)
+
+
+def test_analytic_rejects_empty_divisor_sets():
+    with pytest.raises(ValueError, match="non-empty"):
+        first_discovery_analytic(set(), {3}, 0)
+    with pytest.raises(ValueError, match="non-empty"):
+        first_discovery_analytic({3}, [], 5)
 
 
 def test_verify_all_drifts_hedis_pair():
