@@ -28,7 +28,6 @@ from .protocols import (
     SelectionOptions,
     build_schedule,
     format_params,
-    parameter_set,
     parse_params,
     select_params,
 )
@@ -167,7 +166,7 @@ def cmd_granularity(args: argparse.Namespace, spec: RunSpec) -> int:
     protocols = parse_protocols(args.protocols)
     deltas = parse_sweep(args.sweep)
     records = sweep(protocols, deltas, _options_from(args))
-    lines = list(granularity_csv_rows(records, include_todis_bound=True))
+    lines = list(granularity_csv_rows(records))
     _write_lines(args.out, lines, spec)
     return 1 if any(rec.error is not None for rec in records) else 0
 
@@ -219,7 +218,7 @@ def cmd_simulate(args: argparse.Namespace, spec: RunSpec) -> int:
             str(out_dir / f"{protocol}_trials.csv"), trials_csv_rows(dist), spec
         )
         _write_lines(str(out_dir / f"{protocol}_cdf.csv"), cdf_csv_rows(dist), spec)
-        set_a, set_b = parameter_set(cfg_a.params), parameter_set(cfg_b.params)
+        set_a, set_b = cfg_a.params.rendezvous, cfg_b.params.rendezvous
         bound = ""
         if set_a is not None and set_b is not None:
             value = worst_case_bound(set_a, set_b)

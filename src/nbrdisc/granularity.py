@@ -96,6 +96,9 @@ def _f(x: float) -> float:
 # Above this duty cycle the quartic has no root with k >= 2 (the envelope's
 # natural domain edge: the quartic at k=2 equals 105*d - 81).
 _DOMAIN_SUP = Fraction(81, 105)
+# Below this duty cycle float cancellation in the quartic and in f(2k-1) - d
+# pushes the result more than 1e-6 (relative) off an exact evaluation.
+_DOMAIN_INF = Fraction(1, 10**7)
 
 
 def todis_error_upper_bound(delta) -> float:
@@ -104,7 +107,8 @@ def todis_error_upper_bound(delta) -> float:
     Solves the midpoint quartic for the real root k with f(2k-1) >= delta
     >= f(2k+1) by bisection and returns (f(2k-1) - delta) / delta.  Raises
     :class:`BoundDomainError` when no admissible root exists (delta at or
-    above 81/105).
+    above 81/105) or when float arithmetic cannot resolve it (delta below
+    1e-7).
     """
     frac = as_fraction(delta)
     if not 0 < frac < 1:
@@ -113,20 +117,17 @@ def todis_error_upper_bound(delta) -> float:
         raise BoundDomainError(
             f"no admissible envelope root for duty cycle {frac} >= 81/105"
         )
+    if frac < _DOMAIN_INF:
+        raise BoundDomainError("no float-accurate envelope for duty cycles below 1e-7")
     d = float(frac)
 
     def quartic(k: float) -> float:
         return (((16.0 * d * k - 24.0) * k + (12.0 - 40.0 * d)) * k + 36.0) * k + 9.0 * d - 9.0
 
-    # quartic(2) = 105*d - 81 < 0 on the domain; the root of interest is the
-    # single sign change before the leading term takes over near 1.5/d.
+    # quartic(2) = 105*d - 81 < 0 on the domain, and at k = 1.5/d + 2 the two
+    # leading terms sum to 32*d*k**3, so quartic(k) = k**2*(60 + 24*d) + 36*k
+    # + 9*d - 9 > 0: the bracket holds the single sign change of interest.
     lo, hi = 2.0, 1.5 / d + 2.0
-    grow = 0
-    while quartic(hi) <= 0.0:
-        hi *= 1.5
-        grow += 1
-        if grow > 64:
-            raise BoundDomainError(f"no envelope root bracket for duty cycle {frac}")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if quartic(mid) < 0.0:
@@ -143,7 +144,7 @@ def todis_error_upper_bound(delta) -> float:
 # CSV rendering
 # --------------------------------------------------------------------------
 
-GRANULARITY_CSV_HEADER = "protocol,desired_delta,achieved_delta,relative_error,params"
+GRANULARITY_CSV_HEADER = "protocol,desired_delta,achieved_delta,relative_error,params,todis_bound"
 
 
 def format_rational(value) -> str:
@@ -156,17 +157,13 @@ def escape_error(message: str) -> str:
     return message.replace(",", ";").replace('"', "'")
 
 
-def granularity_csv_rows(
-    records: Iterable[GranularityRecord],
-    include_todis_bound: bool = False,
-) -> Iterable[str]:
+def granularity_csv_rows(records: Iterable[GranularityRecord]) -> Iterable[str]:
     """Yield CSV lines (header first) for a list of sweep records.
 
-    With ``include_todis_bound`` a trailing column carries the todis error
-    envelope at each row's desired duty cycle (empty outside its domain).
+    The trailing ``todis_bound`` column carries the todis error envelope at
+    each row's desired duty cycle (empty outside its domain).
     """
-    header = GRANULARITY_CSV_HEADER + (",todis_bound" if include_todis_bound else "")
-    yield header
+    yield GRANULARITY_CSV_HEADER
     bound_cache: dict[Fraction, str] = {}
     for rec in records:
         if rec.error is None:
@@ -185,13 +182,12 @@ def granularity_csv_rows(
                 "",
                 '"error:%s"' % escape_error(rec.error),
             ]
-        if include_todis_bound:
-            if rec.desired_delta not in bound_cache:
-                try:
-                    bound_cache[rec.desired_delta] = format_rational(
-                        todis_error_upper_bound(rec.desired_delta)
-                    )
-                except (BoundDomainError, ValueError):
-                    bound_cache[rec.desired_delta] = ""
-            row.append(bound_cache[rec.desired_delta])
+        if rec.desired_delta not in bound_cache:
+            try:
+                bound_cache[rec.desired_delta] = format_rational(
+                    todis_error_upper_bound(rec.desired_delta)
+                )
+            except ValueError:
+                bound_cache[rec.desired_delta] = ""
+        row.append(bound_cache[rec.desired_delta])
         yield ",".join(row)

@@ -13,8 +13,8 @@ hyperperiod, and searchlight strides anchors t**i apart with one striped
 probe per sub-period.
 
 Each protocol is described in one place, its ``*Params`` class, and listed
-in the :data:`PROTOCOLS` registry; the module-level functions below look
-the answer up on the parameter value or its class.
+in the :data:`PROTOCOLS` registry; callers ask the parameter value for its
+``build()``, ``period``, ``duty``, ``divisors`` and ``rendezvous`` set.
 
 :func:`select_params` picks, for a requested duty cycle, the protocol
 parameter whose achieved duty cycle lies closest.  All comparisons use
@@ -86,11 +86,6 @@ def coprimality_schedule(divisors: Iterable[int]) -> Schedule:
     return Schedule(period, frozenset(active))
 
 
-def todis_duty(n: int) -> Fraction:
-    """Closed-form todis duty cycle 3*(n*n - n - 1) / (n * (n*n - 4))."""
-    return Fraction(3 * (n * n - n - 1), n * (n * n - 4))
-
-
 @lru_cache(maxsize=None)
 def _prime_pool() -> tuple[int, ...]:
     return tuple(primes_up_to(PRIME_POOL_LIMIT))
@@ -109,7 +104,8 @@ class ProtocolParams:
     exact ``duty`` implied by its parameters (without building the
     schedule), ``build()`` and the classmethod ``select(delta, options)``.
     ``divisors`` is the divisor set of a pure divisibility schedule and None
-    for grid schedules; ``rendezvous``, the integer set entering the
+    for grid schedules (uconnect's half-row makes it one, although it
+    carries a prime); ``rendezvous``, the integer set entering the
     co-primality rendezvous bound, equals ``divisors`` unless overridden.
     """
 
@@ -176,7 +172,11 @@ class DiscoParams(ProtocolParams):
 
 @dataclass(frozen=True)
 class UConnectParams(ProtocolParams):
-    """uconnect: multiples of an odd prime p plus a half-row per p**2 slots."""
+    """uconnect: multiples of an odd prime p plus a half-row per p**2 slots.
+
+    The half-row is the first (p+1)/2 slots; slot 0 is also a multiple of
+    p and counts once, so the duty cycle is (3p - 1) / (2 p**2).
+    """
 
     name = "uconnect"
     p: int
@@ -221,7 +221,12 @@ class UConnectParams(ProtocolParams):
 
 @dataclass(frozen=True)
 class SearchlightParams(ProtocolParams):
-    """searchlight: anchors every t**i slots plus one striped probe each."""
+    """searchlight: anchors every T = t**i slots plus one striped probe each.
+
+    The period holds ceil(T/2) sub-periods of length T; sub-period j wakes
+    at its anchor j*T and 1 + j past it, sweeping every offset a probe may
+    need to meet a drifted neighbor.  The duty cycle is 2/T.
+    """
 
     name = "searchlight"
     t: int
@@ -262,7 +267,11 @@ class SearchlightParams(ProtocolParams):
 
 @dataclass(frozen=True)
 class HedisParams(ProtocolParams):
-    """hedis: anchors at multiples of n, probes at (n+1)*i + 1, period n*(n-1)."""
+    """hedis: anchors at multiples of n, probes at (n+1)*i + 1, period n*(n-1).
+
+    The probes (i in [0, n-2]) never collide with the anchors, so exactly
+    2*(n-1) slots are active per period: duty cycle 2/n.
+    """
 
     name = "hedis"
     n: int
@@ -300,7 +309,7 @@ class HedisParams(ProtocolParams):
 
 @dataclass(frozen=True)
 class TodisParams(ProtocolParams):
-    """todis: wake at every multiple of n-2, n and n+2 (n odd)."""
+    """todis: wake at every multiple of n-2, n and n+2 (n odd), period their product."""
 
     name = "todis"
     n: int
@@ -315,7 +324,8 @@ class TodisParams(ProtocolParams):
 
     @property
     def duty(self) -> Fraction:
-        return todis_duty(self.n)
+        n = self.n
+        return Fraction(3 * (n * n - n - 1), n * (n * n - 4))
 
     @property
     def divisors(self) -> frozenset[int]:
@@ -326,13 +336,13 @@ class TodisParams(ProtocolParams):
         num, den = delta.numerator, delta.denominator
         n_max = options.todis_max_n if options.todis_max_n % 2 else options.todis_max_n - 1
 
-        def below(n: int) -> bool:  # todis_duty(n) <= delta, in integers
+        def below(n: int) -> bool:  # TodisParams(n).duty <= delta, in integers
             return 3 * (n * n - n - 1) * den <= num * n * (n * n - 4)
 
         # duty decreases in n: bisect the first odd n with duty <= delta.
         boundary = 5 + 2 * bisect_left(range(5, n_max + 1, 2), True, key=below)
         candidates = [n for n in (boundary - 2, boundary) if 5 <= n <= n_max]
-        best = min(candidates, key=lambda n: (abs(todis_duty(n) - delta), n))
+        best = min(candidates, key=lambda n: (abs(cls(n).duty - delta), n))
         return cls(best)
 
 
@@ -343,88 +353,16 @@ PROTOCOLS: dict[str, type[ProtocolParams]] = {
 PROTOCOL_ORDER = tuple(PROTOCOLS)
 
 
+# The traced benchmark replay labels its simulator spans through this name.
 def protocol_tag(params: ProtocolParams) -> str:
     """Protocol name ('hedis', 'todis', ...) for a parameter value."""
     return params.name
 
 
-# --------------------------------------------------------------------------
-# Schedule construction
-# --------------------------------------------------------------------------
-
-
-def hedis_schedule(n: int) -> Schedule:
-    """Anchor/probing grid schedule with period n*(n-1) and duty cycle 2/n.
-
-    Anchors sit at multiples of n, probes at (n+1)*i + 1 for i in
-    [0, n-2]; the two sets never collide, so exactly 2*(n-1) slots are
-    active per period.
-    """
-    return HedisParams(n).build()
-
-
-def todis_schedule(n: int) -> Schedule:
-    """Triple-odd divisibility schedule on {n-2, n, n+2} with period (n-2)*n*(n+2).
-
-    The duty cycle is exactly 3*(n*n - n - 1) / (n * (n*n - 4)).
-    """
-    return TodisParams(n).build()
-
-
-def disco_schedule(p1: int, p2: int) -> Schedule:
-    """Prime-pair divisibility schedule; duty cycle 1/p1 + 1/p2 - 1/(p1*p2)."""
-    return DiscoParams(p1, p2).build()
-
-
-def uconnect_schedule(p: int) -> Schedule:
-    """Prime-stride schedule plus a half-row of consecutive slots.
-
-    Per p**2 hyperperiod the node wakes at every multiple of p and in the
-    first (p+1)/2 slots; slot 0 belongs to both groups and is counted once,
-    so the measured duty cycle is (3p - 1) / (2 p**2).
-    """
-    return UConnectParams(p).build()
-
-
-def searchlight_schedule(t: int, i: int) -> Schedule:
-    """Anchor/striped-probe schedule with stride T = t**i and duty cycle 2/T.
-
-    The hyperperiod holds ceil(T/2) sub-periods of length T.  Sub-period j
-    wakes at its anchor j*T and at offset 1 + (j mod ceil(T/2)) past the
-    anchor, sweeping every offset a probe may need to meet a drifted
-    neighbor.
-    """
-    return SearchlightParams(t, i).build()
-
-
+# The traced benchmark replay rebinds this name to time every schedule build.
 def build_schedule(params: ProtocolParams) -> Schedule:
     """Construct the wake-up schedule for any parameter value."""
     return params.build()
-
-
-def achieved_duty(params: ProtocolParams) -> Fraction:
-    """Exact duty cycle implied by the parameters, without building the schedule."""
-    return params.duty
-
-
-def schedule_period(params: ProtocolParams) -> int:
-    """Schedule period implied by the parameters, without building the schedule."""
-    return params.period
-
-
-def divisor_set(params: ProtocolParams) -> Optional[frozenset[int]]:
-    """Divisors of a pure divisibility schedule, or None for grid schedules.
-
-    Only todis and disco wake exactly at multiples of their parameter set;
-    uconnect's extra half-row disqualifies it even though it carries a
-    prime parameter.
-    """
-    return params.divisors
-
-
-def parameter_set(params: ProtocolParams) -> Optional[frozenset[int]]:
-    """Integer set entering the co-primality rendezvous bound, if any."""
-    return params.rendezvous
 
 
 # --------------------------------------------------------------------------
@@ -511,7 +449,7 @@ def select_params(
     if not 0 < delta <= 1:
         raise SelectionError(f"duty cycle must be in (0, 1], got {delta}")
     params = _select(protocol, delta, options or DEFAULT_OPTIONS)
-    achieved = achieved_duty(params)
+    achieved = params.duty
     if abs(achieved - delta) >= delta:
         raise SelectionError(
             f"{protocol} cannot approximate duty cycle {delta} "

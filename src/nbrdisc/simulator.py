@@ -37,12 +37,15 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from .numtheory import lcm, solve_congruence_pair
-from .protocols import NodeConfig, divisor_set, schedule_period
+from .protocols import NodeConfig
 from .schedule import Schedule
 
 
 class ScanBudgetError(RuntimeError):
     """Exhaustive drift verification exceeded its work guard."""
+
+
+_SAMPLE_HINT = "pass --sample N (sample=N in the library) to verify a seeded subset"
 
 
 @dataclass(frozen=True)
@@ -128,8 +131,7 @@ def _sweep(
             probes += width
             if max_work is not None and probes > max_work:
                 raise ScanBudgetError(
-                    f"drift-class sweep exceeded the work guard {max_work}; "
-                    "pass sample= to verify a seeded subset"
+                    f"drift-class sweep exceeded the work guard {max_work}; {_SAMPLE_HINT}"
                 )
             for sb in other:
                 c = (sb - t) % period_b
@@ -225,8 +227,7 @@ def check_drift_budget(drifts: int, max_work: int) -> None:
     """
     if drifts > max_work:
         raise ScanBudgetError(
-            f"{drifts} drifts exceed the work guard {max_work}; "
-            "pass sample= to verify a seeded subset"
+            f"{drifts} drifts exceed the work guard {max_work}; {_SAMPLE_HINT}"
         )
 
 
@@ -318,8 +319,8 @@ def latency_trials(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    div_a, div_b = divisor_set(cfg_a.params), divisor_set(cfg_b.params)
-    horizon = lcm(schedule_period(cfg_a.params), schedule_period(cfg_b.params))
+    div_a, div_b = cfg_a.params.divisors, cfg_b.params.divisors
+    horizon = lcm(cfg_a.params.period, cfg_b.params.period)
     if div_a is not None and div_b is not None:
         latency = _analytic_latency(div_a, div_b)
     else:

@@ -19,12 +19,11 @@ from nbrdisc.numtheory import (
     worst_case_bound,
 )
 from nbrdisc.protocols import (
+    HedisParams,
     SelectionOptions,
+    TodisParams,
     coprimality_schedule,
-    hedis_schedule,
-    parameter_set,
     select_params,
-    todis_schedule,
 )
 from nbrdisc.schedule import duty_cycle, make_schedule
 from nbrdisc.simulator import (
@@ -67,7 +66,7 @@ def test_criterion_01_example_pair_discovery():
 def test_criterion_02_hedis_construction():
     ok = True
     for n in range(3, 301):
-        s = hedis_schedule(n)
+        s = HedisParams(n).build()
         if duty_cycle(s) != Fraction(2, n) or len(s.active) != 2 * (n - 1):
             ok = False
             break
@@ -77,7 +76,7 @@ def test_criterion_02_hedis_construction():
 def test_criterion_03_todis_duty_formula():
     ok = True
     for n in range(5, 100, 2):
-        s = todis_schedule(n)
+        s = TodisParams(n).build()
         period = (n - 2) * n * (n + 2)
         count = len(s.active)  # enumerated union of multiples over the full period
         if s.period != period or count * (n * (n * n - 4)) != 3 * (n * n - n - 1) * period:
@@ -148,7 +147,7 @@ def test_criterion_07_hedis_drift_guarantee():
     ok = True
     detail = ""
     for n, m in pairs:
-        result = verify_all_drifts(hedis_schedule(n), hedis_schedule(m))
+        result = verify_all_drifts(HedisParams(n).build(), HedisParams(m).build())
         if not (result.all_discover and result.mean_latency <= 4 * n * m):
             ok = False
             detail = f"pair ({n}, {m}) failed: {result}"
@@ -221,7 +220,7 @@ def test_criterion_10_simulation_matrix():
                 ok = False
                 detail = f"{protocol} at {delta_a}/{delta_b}: {dist.undiscovered_count} undiscovered"
                 break
-            set_a, set_b = parameter_set(cfg_a.params), parameter_set(cfg_b.params)
+            set_a, set_b = cfg_a.params.rendezvous, cfg_b.params.rendezvous
             if set_a is not None and set_b is not None and coprime_pair_property(set_a, set_b):
                 bound = worst_case_bound(set_a, set_b)
                 if max(dist.latencies) > bound:

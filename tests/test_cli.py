@@ -122,6 +122,14 @@ def test_cmd_granularity_bound_column(tmp_path):
     assert abs(bound - 0.0671) < 0.0005
 
 
+def test_cmd_granularity_leaves_bound_empty_below_float_range(capsys):
+    assert main(["granularity", "--protocols", "hedis", "--sweep", "list:1e-400"]) == 0
+    rows = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+    assert rows[0].endswith(",todis_bound")
+    assert len(rows) == 2
+    assert rows[1].endswith('",')
+
+
 def test_cmd_granularity_error_rows_set_exit_status(tmp_path, capsys):
     out = tmp_path / "g.csv"
     code = main(
@@ -166,6 +174,14 @@ def test_cmd_verify_refuses_oversized_exhaustive_run_before_building(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "exceed the work guard 100000000" in captured.err
+
+
+def test_cmd_verify_budget_errors_name_the_sample_option(capsys):
+    assert main(["verify", "todis:n=5001", "todis:n=4999"]) == 2
+    assert "--sample" in capsys.readouterr().err
+    # the drift-class sweep's own work guard gives the same advice
+    assert main(["verify", "hedis:n=4", "hedis:n=6", "--max-work", "60"]) == 2
+    assert "--sample" in capsys.readouterr().err
 
 
 def test_cmd_simulate_writes_files_and_summary(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Relative-error records, sweeps and the todis error envelope."""
 
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -60,6 +61,37 @@ def test_envelope_domain_errors():
         todis_error_upper_bound(Fraction(9, 10))
 
 
+def _envelope_reference(delta: Fraction) -> Decimal:
+    """The same quartic root and envelope, in 60-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        d = Decimal(delta.numerator) / delta.denominator
+
+        def quartic(k: Decimal) -> Decimal:
+            return (((16 * d * k - 24) * k + (12 - 40 * d)) * k + 36) * k + 9 * d - 9
+
+        lo, hi = Decimal(2), Decimal("1.5") / d + 2
+        for _ in range(300):
+            mid = (lo + hi) / 2
+            if quartic(mid) < 0:
+                lo = mid
+            else:
+                hi = mid
+        x = lo + hi - 1  # 2k - 1 at the bracket's midpoint k
+        return (3 * (x * x - x - 1) / (x * (x * x - 4)) - d) / d
+
+
+def test_envelope_matches_exact_quartic_down_to_float_edge():
+    # log grid from the 1e-7 domain edge up to 0.5
+    grid = [Fraction(m, 10**e) for e in range(7, 0, -1) for m in (1, 2, 3, 5, 7)]
+    for delta in [d for d in grid if d <= Fraction(1, 2)]:
+        exact = _envelope_reference(delta)
+        assert abs(Decimal(todis_error_upper_bound(delta)) - exact) <= exact * Decimal("1e-6")
+    for delta in (Fraction(99, 10**9), Fraction(1, 10**200), Fraction(1, 10**400)):
+        with pytest.raises(BoundDomainError):
+            todis_error_upper_bound(delta)
+
+
 def test_envelope_dominates_measured_error():
     # Sampled version of the acceptance property: the envelope stays above
     # the measured error everywhere in the practical range.
@@ -72,10 +104,10 @@ def test_envelope_dominates_measured_error():
 def test_envelope_tight_at_midpoints():
     # Between consecutive supported duty cycles the worst case sits at the
     # midpoint, where measured error and envelope agree.
-    from nbrdisc.protocols import todis_duty
+    from nbrdisc.protocols import TodisParams
 
     for n in (7, 15, 29):
-        mid = (todis_duty(n) + todis_duty(n + 2)) / 2
+        mid = (TodisParams(n).duty + TodisParams(n + 2).duty) / 2
         measured = float(relative_error("todis", mid).relative_error)
         assert abs(measured - todis_error_upper_bound(mid)) <= 1e-9
 
@@ -149,7 +181,7 @@ def test_sweep_rejects_empty_input():
 
 def test_csv_rows_shape():
     records = sweep(["hedis", "disco"], [Fraction(1, 10), Fraction(1, 20)])
-    rows = list(granularity_csv_rows(records, include_todis_bound=True))
+    rows = list(granularity_csv_rows(records))
     assert rows[0] == "protocol,desired_delta,achieved_delta,relative_error,params,todis_bound"
     assert len(rows) == 5
     # the quoted params field keeps the column count stable even for disco

@@ -16,22 +16,11 @@ from nbrdisc.protocols import (
     SelectionOptions,
     TodisParams,
     UConnectParams,
-    achieved_duty,
-    build_schedule,
     coprimality_schedule,
-    disco_schedule,
-    divisor_set,
     format_params,
-    hedis_schedule,
-    parameter_set,
     parse_params,
     protocol_tag,
-    schedule_period,
-    searchlight_schedule,
     select_params,
-    todis_duty,
-    todis_schedule,
-    uconnect_schedule,
 )
 from nbrdisc.schedule import duty_cycle
 
@@ -97,17 +86,17 @@ def test_coprimality_duty_matches_inclusion_exclusion():
 
 
 def test_hedis_examples():
-    s = hedis_schedule(4)
+    s = HedisParams(4).build()
     assert s.period == 12
     assert s.active == frozenset({0, 1, 4, 6, 8, 11})
     assert duty_cycle(s) == Fraction(1, 2)
 
-    s = hedis_schedule(6)
+    s = HedisParams(6).build()
     assert s.period == 30
     assert s.active == frozenset({0, 1, 6, 8, 12, 15, 18, 22, 24, 29})
     assert duty_cycle(s) == Fraction(1, 3)
 
-    s = hedis_schedule(3)
+    s = HedisParams(3).build()
     assert s.period == 6
     assert s.active == frozenset({0, 1, 3, 5})
     assert duty_cycle(s) == Fraction(2, 3)
@@ -115,14 +104,14 @@ def test_hedis_examples():
 
 def test_hedis_rejects_small_n():
     with pytest.raises(ParameterError):
-        hedis_schedule(2)
+        HedisParams(2).build()
 
 
 def test_hedis_slot_count_and_duty():
     # anchors {n*i} and probes {(n+1)*i + 1} never collide, so the count and
     # duty cycle are exact for every n; the acceptance suite pushes to 300.
     for n in range(3, 61):
-        s = hedis_schedule(n)
+        s = HedisParams(n).build()
         anchors = {n * i for i in range(n - 1)}
         probes = {(n + 1) * i + 1 for i in range(n - 1)}
         assert not anchors & probes
@@ -137,29 +126,29 @@ def test_hedis_slot_count_and_duty():
 
 
 def test_todis_examples():
-    assert duty_cycle(todis_schedule(15)) == Fraction(209, 1105)
+    assert duty_cycle(TodisParams(15).build()) == Fraction(209, 1105)
     assert abs(float(Fraction(209, 1105)) - 0.189) < 1e-3
 
-    s = todis_schedule(5)
+    s = TodisParams(5).build()
     assert s.period == 105
     assert duty_cycle(s) == Fraction(57, 105)
     assert duty_cycle(s) == Fraction(3 * (25 - 5 - 1), 5 * 21)
 
-    assert duty_cycle(todis_schedule(7)) == Fraction(123, 315)
+    assert duty_cycle(TodisParams(7).build()) == Fraction(123, 315)
 
 
 def test_todis_rejects_bad_n():
     for n in (3, 4, 6, 1):
         with pytest.raises(ParameterError):
-            todis_schedule(n)
+            TodisParams(n).build()
 
 
 def test_todis_measured_duty_matches_formula():
     for n in range(5, 42, 2):
-        s = todis_schedule(n)
+        s = TodisParams(n).build()
         assert s.period == (n - 2) * n * (n + 2)
         assert len(s.active) == 3 * (n * n - n - 1)
-        assert duty_cycle(s) == todis_duty(n)
+        assert duty_cycle(s) == TodisParams(n).duty
 
 
 # --------------------------------------------------------------------------
@@ -168,24 +157,24 @@ def test_todis_measured_duty_matches_formula():
 
 
 def test_disco_examples():
-    s = disco_schedule(3, 5)
+    s = DiscoParams(3, 5).build()
     assert s.period == 15
     assert duty_cycle(s) == Fraction(7, 15)
 
-    s = disco_schedule(2, 3)
+    s = DiscoParams(2, 3).build()
     assert s.period == 6
     assert s.active == frozenset({0, 2, 3, 4})
     assert duty_cycle(s) == Fraction(2, 3)
 
-    duty = duty_cycle(disco_schedule(37, 43))
+    duty = duty_cycle(DiscoParams(37, 43).build())
     assert duty == Fraction(1, 37) + Fraction(1, 43) - Fraction(1, 37 * 43)
 
 
 def test_disco_rejects_bad_primes():
     with pytest.raises(ParameterError):
-        disco_schedule(5, 5)
+        DiscoParams(5, 5).build()
     with pytest.raises(ParameterError):
-        disco_schedule(4, 7)
+        DiscoParams(4, 7).build()
 
 
 # --------------------------------------------------------------------------
@@ -194,12 +183,12 @@ def test_disco_rejects_bad_primes():
 
 
 def test_uconnect_layout():
-    s = uconnect_schedule(3)
+    s = UConnectParams(3).build()
     assert s.period == 9
     assert s.active == frozenset({0, 1, 3, 6})
     assert duty_cycle(s) == Fraction(4, 9)
 
-    s = uconnect_schedule(5)
+    s = UConnectParams(5).build()
     assert s.active == frozenset({0, 1, 2, 5, 10, 15, 20})
     assert len(s.active) == 5 + 3 - 1
     assert duty_cycle(s) == Fraction(7, 25)
@@ -209,16 +198,16 @@ def test_uconnect_measured_duty_near_stride_formula():
     # The half-row shares slot 0 with the stride, so the measured duty
     # (3p - 1) / (2 p^2) sits within 1/p^2 of the pure count (3p + 1) / (2 p^2).
     for p in (3, 5, 7, 11, 31):
-        measured = duty_cycle(uconnect_schedule(p))
+        measured = duty_cycle(UConnectParams(p).build())
         assert measured == Fraction(3 * p - 1, 2 * p * p)
         assert abs(measured - Fraction(3 * p + 1, 2 * p * p)) <= Fraction(1, p * p)
 
 
 def test_uconnect_rejects_two_and_composites():
     with pytest.raises(ParameterError):
-        uconnect_schedule(2)
+        UConnectParams(2).build()
     with pytest.raises(ParameterError):
-        uconnect_schedule(9)
+        UConnectParams(9).build()
 
 
 # --------------------------------------------------------------------------
@@ -227,28 +216,28 @@ def test_uconnect_rejects_two_and_composites():
 
 
 def test_searchlight_examples():
-    s = searchlight_schedule(2, 1)
+    s = SearchlightParams(2, 1).build()
     assert s.period == 2 and s.active == frozenset({0, 1})
     assert duty_cycle(s) == 1
 
-    s = searchlight_schedule(2, 2)
+    s = SearchlightParams(2, 2).build()
     assert s.period == 8
     assert s.active == frozenset({0, 1, 4, 6})
     assert duty_cycle(s) == Fraction(1, 2)
 
-    assert duty_cycle(searchlight_schedule(2, 3)) == Fraction(1, 4)
+    assert duty_cycle(SearchlightParams(2, 3).build()) == Fraction(1, 4)
 
 
 def test_searchlight_duty_is_two_over_stride():
     for t, i in [(2, 4), (2, 7), (3, 2), (3, 3), (5, 2)]:
-        assert duty_cycle(searchlight_schedule(t, i)) == Fraction(2, t**i)
+        assert duty_cycle(SearchlightParams(t, i).build()) == Fraction(2, t**i)
 
 
 def test_searchlight_rejects_bad_params():
     with pytest.raises(ParameterError):
-        searchlight_schedule(1, 3)
+        SearchlightParams(1, 3).build()
     with pytest.raises(ParameterError):
-        searchlight_schedule(2, 0)
+        SearchlightParams(2, 0).build()
 
 
 # --------------------------------------------------------------------------
@@ -266,18 +255,18 @@ def test_achieved_duty_and_period_match_built_schedules():
         SearchlightParams(3, 2),
     ]
     for params in cases:
-        s = build_schedule(params)
-        assert duty_cycle(s) == achieved_duty(params)
-        assert s.period == schedule_period(params)
+        s = params.build()
+        assert duty_cycle(s) == params.duty
+        assert s.period == params.period
 
 
 def test_divisor_and_parameter_sets():
-    assert divisor_set(TodisParams(9)) == frozenset({7, 9, 11})
-    assert divisor_set(DiscoParams(3, 7)) == frozenset({3, 7})
-    assert divisor_set(UConnectParams(5)) is None
-    assert divisor_set(HedisParams(6)) is None
-    assert parameter_set(UConnectParams(5)) == frozenset({5})
-    assert parameter_set(SearchlightParams(2, 3)) is None
+    assert TodisParams(9).divisors == frozenset({7, 9, 11})
+    assert DiscoParams(3, 7).divisors == frozenset({3, 7})
+    assert UConnectParams(5).divisors is None
+    assert HedisParams(6).divisors is None
+    assert UConnectParams(5).rendezvous == frozenset({5})
+    assert SearchlightParams(2, 3).rendezvous is None
 
 
 def test_todis_discovery_bounded_for_small_pairs():
@@ -290,7 +279,7 @@ def test_todis_discovery_bounded_for_small_pairs():
         nb = frozenset({m - 2, m, m + 2})
         bound = worst_case_bound(na, nb)
         assert bound is not None
-        horizon = lcm(schedule_period(TodisParams(n)), schedule_period(TodisParams(m)))
+        horizon = lcm(TodisParams(n).period, TodisParams(m).period)
         for d in range(horizon):
             res = first_discovery_analytic(na, nb, d)
             assert res.found and res.slot <= bound
@@ -310,7 +299,7 @@ def test_todis_discovery_bounded_across_parameter_grid():
             bound = worst_case_bound(na, nb)
             assert bound is not None
             horizon = lcm(
-                schedule_period(TodisParams(n)), schedule_period(TodisParams(m))
+                TodisParams(n).period, TodisParams(m).period
             )
             if horizon <= 20_000:
                 drifts = range(horizon)
@@ -346,10 +335,10 @@ def test_select_hedis_parity_option():
 def test_select_todis():
     cfg = select_params("todis", Fraction(1, 20))
     assert cfg.params == TodisParams(59)
-    assert cfg.achieved_delta == todis_duty(59)
+    assert cfg.achieved_delta == TodisParams(59).duty
     # one step either way is strictly worse
     for other in (57, 61):
-        assert abs(todis_duty(other) - Fraction(1, 20)) > abs(
+        assert abs(TodisParams(other).duty - Fraction(1, 20)) > abs(
             cfg.achieved_delta - Fraction(1, 20)
         )
 
@@ -370,7 +359,7 @@ def test_select_disco_picks_best_consecutive_pair():
         assert primes[idx + 1] == cfg.params.p2
         err = abs(cfg.achieved_delta - delta)
         for p, q in zip(primes, primes[1:]):
-            assert err <= abs(achieved_duty(DiscoParams(p, q)) - delta)
+            assert err <= abs(DiscoParams(p, q).duty - delta)
 
 
 def test_select_uconnect():
@@ -378,7 +367,7 @@ def test_select_uconnect():
     cfg = select_params("uconnect", delta)
     err = abs(cfg.achieved_delta - delta)
     for p in (23, 29, 31, 37):
-        assert err <= abs(achieved_duty(UConnectParams(p)) - delta)
+        assert err <= abs(UConnectParams(p).duty - delta)
 
 
 def test_select_searchlight_tie_prefers_smaller_period():
@@ -405,7 +394,7 @@ def test_select_params_achieved_matches_schedule():
     for protocol in ("hedis", "todis", "disco", "uconnect", "searchlight"):
         cfg = select_params(protocol, Fraction(1, 10))
         assert duty_cycle(cfg.schedule) == cfg.achieved_delta
-        assert cfg.schedule.period == schedule_period(cfg.params)
+        assert cfg.schedule.period == cfg.params.period
 
 
 def test_float_delta_means_decimal():

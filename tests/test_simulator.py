@@ -7,11 +7,10 @@ import pytest
 
 from nbrdisc.numtheory import lcm, solve_congruence_pair, worst_case_bound
 from nbrdisc.protocols import (
+    HedisParams,
+    TodisParams,
     coprimality_schedule,
-    divisor_set,
-    hedis_schedule,
     select_params,
-    todis_schedule,
 )
 from nbrdisc.schedule import make_schedule, rotate
 from nbrdisc.simulator import (
@@ -155,7 +154,7 @@ def test_analytic_matches_per_drift_solver():
 def test_latency_trials_analytic_matches_per_drift_solver(protocol):
     cfg_a = select_params(protocol, Fraction(1, 100))
     cfg_b = select_params(protocol, Fraction(5, 100))
-    na, nb = divisor_set(cfg_a.params), divisor_set(cfg_b.params)
+    na, nb = cfg_a.params.divisors, cfg_b.params.divisors
     horizon = lcm(cfg_a.schedule.period, cfg_b.schedule.period)
     dist = latency_trials(cfg_a, cfg_b, 500, seed=5)
     assert len(dist.trials) == 500
@@ -173,7 +172,7 @@ def test_analytic_rejects_empty_divisor_sets():
 
 
 def test_verify_all_drifts_hedis_pair():
-    result = verify_all_drifts(hedis_schedule(4), hedis_schedule(6))
+    result = verify_all_drifts(HedisParams(4).build(), HedisParams(6).build())
     assert result.exhaustive
     assert result.drifts_checked == lcm(12, 30)
     assert result.all_discover
@@ -188,17 +187,17 @@ def test_verify_all_drifts_failing_pair():
 def test_verify_all_drifts_todis_bound():
     bound = worst_case_bound({3, 5, 7}, {5, 7, 9})
     assert bound == 15
-    result = verify_all_drifts(todis_schedule(5), todis_schedule(7))
+    result = verify_all_drifts(TodisParams(5).build(), TodisParams(7).build())
     assert result.all_discover
     assert result.max_latency <= bound
 
 
 def test_verify_all_drifts_budget_guard():
     with pytest.raises(ScanBudgetError):
-        verify_all_drifts(hedis_schedule(4), hedis_schedule(6), max_work=10)
+        verify_all_drifts(HedisParams(4).build(), HedisParams(6).build(), max_work=10)
     # sampling ignores the exhaustive guard
     result = verify_all_drifts(
-        hedis_schedule(4), hedis_schedule(6), max_work=10, sample=5, seed=1
+        HedisParams(4).build(), HedisParams(6).build(), max_work=10, sample=5, seed=1
     )
     assert not result.exhaustive and result.drifts_checked == 5
 
@@ -269,7 +268,7 @@ def test_latency_trials_class_table_matches_first_discovery(protocol):
 def test_todis_exhaustive_drifts_within_bound():
     # Exhaustive companion to the sampled todis grid in test_protocols.py.
     odd = range(5, 30, 2)
-    schedules = {n: todis_schedule(n) for n in odd}
+    schedules = {n: TodisParams(n).build() for n in odd}
     for n in odd:
         for m in odd:
             result = verify_all_drifts(schedules[n], schedules[m])
@@ -282,7 +281,7 @@ def test_hedis_same_parity_exhaustive_guarantee():
     pairs = [(n, m) for n in range(3, 31) for m in range(3, 31) if n % 2 == m % 2]
     assert len(pairs) == 392
     for n, m in pairs:
-        result = verify_all_drifts(hedis_schedule(n), hedis_schedule(m))
+        result = verify_all_drifts(HedisParams(n).build(), HedisParams(m).build())
         assert result.all_discover, (n, m)
         assert result.mean_latency <= 4 * n * m, (n, m)
 
@@ -333,14 +332,12 @@ def test_latency_trials_analytic_agrees_with_scan():
 def test_mixed_protocol_latencies_respect_bound():
     # Cross-protocol pairs whose parameter sets are co-prime stay within the
     # smallest co-prime cross product; uconnect pairs force the scan path.
-    from nbrdisc.protocols import parameter_set
-
     combos = [("uconnect", "disco"), ("uconnect", "todis"), ("disco", "todis")]
     for proto_a, proto_b in combos:
         cfg_a = select_params(proto_a, Fraction(1, 10))
         cfg_b = select_params(proto_b, Fraction(1, 10))
         bound = worst_case_bound(
-            parameter_set(cfg_a.params), parameter_set(cfg_b.params)
+            cfg_a.params.rendezvous, cfg_b.params.rendezvous
         )
         assert bound is not None
         dist = latency_trials(cfg_a, cfg_b, 200, seed=2)

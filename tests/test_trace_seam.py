@@ -1,0 +1,40 @@
+"""The traced benchmark replay still reaches every layer it rebinds.
+
+``perfbench/replay.py --trace 1`` times each layer by rebinding module-level
+names such as ``protocols.build_schedule`` and
+``simulator.solve_congruence_pair``.  A refactor that deletes or bypasses one
+of them breaks the traced benchmark; this test makes that a tier-1 failure.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_traced_replay_records_each_layer(tmp_path):
+    result = tmp_path / "seam.result.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    argv = ["simulate", "--protocols", "all", "--delta-a", "1%", "--delta-b", "5%",
+            "--trials", "2", "--out", str(tmp_path / "sim")]
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "replay.py"), "--workload", "seam",
+         "--trace", "1", "--result", str(result), "--stdout", str(tmp_path / "stdout.txt"),
+         "--", *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(result.read_text())["rc"] == 0
+    spans = (tmp_path / "seam.spans.jsonl").read_text().splitlines()
+    names = {json.loads(line)[1] for line in spans}
+    assert {
+        "protocols.build_schedule",
+        "simulator.latency_trials",
+        "numtheory.solve_congruence_pair",
+    } <= names
