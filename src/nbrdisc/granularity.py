@@ -17,6 +17,7 @@ todis error stays below and touches at the midpoints.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -148,8 +149,16 @@ GRANULARITY_CSV_HEADER = "protocol,desired_delta,achieved_delta,relative_error,p
 
 
 def format_rational(value) -> str:
-    """Decimal rendering with 12 significant digits."""
-    return f"{float(value):.12g}"
+    """Decimal rendering with 12 significant digits.
+
+    A nonzero fraction below the float range, which ``float`` rounds to 0,
+    is rendered from its exact value instead.
+    """
+    x = float(value)
+    if x == 0 and value:
+        with localcontext(prec=12):
+            return format(Decimal(value.numerator) / value.denominator, ".12g")
+    return f"{x:.12g}"
 
 
 def escape_error(message: str) -> str:

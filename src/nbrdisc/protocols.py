@@ -426,11 +426,6 @@ def as_fraction(value) -> Fraction:
     return Fraction(value)
 
 
-@lru_cache(maxsize=4096)
-def _select(protocol: str, delta: Fraction, options: SelectionOptions) -> ProtocolParams:
-    return PROTOCOLS[protocol].select(delta, options)
-
-
 def select_params(
     protocol: str,
     delta,
@@ -448,7 +443,7 @@ def select_params(
     delta = as_fraction(delta)
     if not 0 < delta <= 1:
         raise SelectionError(f"duty cycle must be in (0, 1], got {delta}")
-    params = _select(protocol, delta, options or DEFAULT_OPTIONS)
+    params = PROTOCOLS[protocol].select(delta, options or DEFAULT_OPTIONS)
     achieved = params.duty
     if abs(achieved - delta) >= delta:
         raise SelectionError(

@@ -1,4 +1,4 @@
-"""Slotted wake-up schedules: construction, rotation and duty-cycle queries.
+"""Slotted wake-up schedules: construction and duty-cycle queries.
 
 A schedule is a periodic binary wake/sleep pattern: a period length and the
 set of slot indices inside one period in which the radio is awake.  The
@@ -45,32 +45,7 @@ def make_schedule(period: int, active_slots: Iterable[int]) -> Schedule:
     return Schedule(period, frozenset(active_slots))
 
 
-def is_active(s: Schedule, t: int) -> bool:
-    """True iff the node is awake in slot ``t``, extending the pattern periodically."""
-    return t % s.period in s.active
-
-
-def rotate(s: Schedule, k: int) -> Schedule:
-    """Shift the schedule by ``k`` slots of clock drift.
-
-    Slot ``t`` of the result is active iff slot ``(t + k) mod period`` of
-    ``s`` is.  Negative ``k`` rotates the other way; period and duty cycle
-    are preserved.
-    """
-    k %= s.period
-    if k == 0:
-        return s
-    return Schedule(s.period, frozenset((a - k) % s.period for a in s.active))
-
-
 def duty_cycle(s: Schedule) -> Fraction:
     """Fraction of awake slots per period, as an exact rational."""
     return Fraction(len(s.active), s.period)
 
-
-def format_schedule(s: Schedule) -> str:
-    """One-line text form: ``period=<T> active=<comma-separated sorted indices>``."""
-    return "period=%d active=%s" % (
-        s.period,
-        ",".join(str(t) for t in sorted(s.active)),
-    )

@@ -6,26 +6,24 @@ awake at its local slot t + d.  If the pair is ever going to meet, it meets
 inside the joint hyperperiod lcm(T_a, T_b), so that is the default search
 horizon.
 
-Three engines compute the same answer.  The scan engine walks the sparser
-schedule's wake slots in time order and set-probes the other schedule; its
-cost is the discovery latency times the walked duty cycle.  The analytic
-engine applies to pure divisibility schedules: for every cross pair (x, y)
-of the two divisor sets, with g = gcd(x, y), it solves t = 0 (mod x),
-t = -g (mod y) once per node pair; a drift d then meets on that pair only
-if g divides d, at d/g times that solution modulo lcm(x, y), and the answer
-is the smallest such slot over the pairs.  The class sweep answers every
-drift at once: b's pattern, and so the first meeting, depends only on
-d mod T_b, so one time-ordered walk over a's wake slots, crossed with b's
-wake slots, settles each of the T_b drift classes at its first meeting and
-stops once all are settled.
+One walk answers every drift question on built schedules.  b's pattern
+under drift d, and so the first meeting, depends only on the class
+d mod T_b; the walk visits a's wake slots in time order and settles each
+drift class it is asked for at the first slot where that class meets.  A
+single drift is a one-class walk; sampled drifts and latency trials ask for
+the classes of their drifts, and exhaustive verification asks for all T_b.
+
+The analytic engine is the exact fast path for pure divisibility schedules,
+whose hyperperiods can make any walk infeasible: for every cross pair
+(x, y) of the two divisor sets, with g = gcd(x, y), it solves t = 0
+(mod x), t = -g (mod y) once per node pair; a drift d then meets on that
+pair only if g divides d, at d/g times that solution modulo lcm(x, y), and
+the answer is the smallest such slot over the pairs.
 
 On top of these sit exhaustive/sampled drift verification, seeded
 Monte-Carlo latency trials (drifts drawn per-trial from a counter-based
 generator, so results are independent of evaluation order), and CDF
-extraction.  Exhaustive verification always runs the class sweep.  Sampled
-verification and scanned latency trials look each drift up in the sweep's
-class table when T_b is at most the number of drifts requested, so the table
-is never larger than the rows returned; otherwise they scan per drift.
+extraction.
 """
 
 from __future__ import annotations
@@ -74,87 +72,77 @@ class DiscoveryResult:
     slot: Optional[int]
 
 
-_NOT_FOUND = DiscoveryResult(False, None)
-
-
-def _scan(
-    a: Schedule, b: Schedule, drift: int, horizon: int
-) -> tuple[DiscoveryResult, int]:
-    """Walk wake slots of the sparser schedule; return (result, slots walked)."""
-    if not a.active or not b.active:
-        return _NOT_FOUND, 0
-    if len(a.active) * b.period <= len(b.active) * a.period:
-        walk = sorted(a.active)
-        walk_period = a.period
-        other_active, other_period, offset = b.active, b.period, drift
-    else:
-        # b's wake slots on the global axis: (s - d) mod T_b + j*T_b
-        walk = sorted((s - drift) % b.period for s in b.active)
-        walk_period = b.period
-        other_active, other_period, offset = a.active, a.period, 0
-    cost = 0
-    base = 0
-    while base < horizon:
-        for s in walk:
-            t = base + s
-            if t >= horizon:
-                return _NOT_FOUND, cost
-            cost += 1
-            if (t + offset) % other_period in other_active:
-                return DiscoveryResult(True, t), cost
-        base += walk_period
-    return _NOT_FOUND, cost
-
-
 def _sweep(
-    a: Schedule, b: Schedule, max_work: Optional[int] = None
-) -> list[Optional[int]]:
-    """First discovery slot of every drift class modulo T_b, or None.
+    a: Schedule,
+    b: Schedule,
+    classes: Iterable[int],
+    horizon: Optional[int] = None,
+    max_work: Optional[int] = None,
+) -> dict[int, Optional[int]]:
+    """First discovery slot below ``horizon`` of each drift class asked, or None.
 
-    Walks a's wake slots t in time order up to lcm(T_a, T_b); each b wake
-    slot sb settles class (sb - t) mod T_b at t the first time it is seen.
-    Since t only increases, that is the first discovery of every drift in
-    the class.  Raises :class:`ScanBudgetError` once more than ``max_work``
-    probes (a slots walked times |b.active|) were spent.
+    Drift d meets at slot t iff (t + d) mod T_b is a wake slot of b, so the
+    answer depends only on the class d mod T_b.  One walk visits a's wake
+    slots t in time order up to min(horizon, lcm(T_a, T_b)), and the first
+    t at which a class meets is its first discovery.  With fewer classes
+    asked than b has wake slots, each a slot probes the unsettled classes c
+    (is slot (t + c) mod T_b awake?); otherwise it crosses b's wake slots
+    sb, settling class (sb - t) mod T_b.  Raises :class:`ScanBudgetError`
+    once more than ``max_work`` probes were spent.
     """
-    classes: list[Optional[int]] = [None] * b.period
-    if not a.active or not b.active:
-        return classes
+    first: dict[int, Optional[int]] = dict.fromkeys(classes)
+    unsettled = len(first)
+    end = lcm(a.period, b.period)
+    if horizon is not None:
+        end = min(end, horizon)
+    if not unsettled or not a.active or not b.active:
+        return first
+    period_b, active_b = b.period, b.active
+    cross = unsettled >= len(active_b)
+    # what each a slot is checked against: b's wake slots, or the unsettled classes
+    row = sorted(active_b) if cross else list(first)
     walk = sorted(a.active)
-    other = sorted(b.active)
-    width, period_b = len(other), b.period
-    unsettled = period_b
     probes = 0
-    for base in range(0, lcm(a.period, period_b), a.period):
+    for base in range(0, end, a.period):
         for s in walk:
             t = base + s
-            probes += width
+            if t >= end:
+                return first
+            probes += len(row)
             if max_work is not None and probes > max_work:
                 raise ScanBudgetError(
                     f"drift-class sweep exceeded the work guard {max_work}; {_SAMPLE_HINT}"
                 )
-            for sb in other:
-                c = (sb - t) % period_b
-                if classes[c] is None:
-                    classes[c] = t
-                    unsettled -= 1
-            if not unsettled:
-                return classes
-    return classes
+            before = unsettled
+            if cross:
+                for sb in row:
+                    c = (sb - t) % period_b
+                    if first.get(c, t) is None:  # classes not asked read as settled
+                        first[c] = t
+                        unsettled -= 1
+            else:
+                for c in row:
+                    if (t + c) % period_b in active_b:
+                        first[c] = t
+                        unsettled -= 1
+            if unsettled < before:
+                if not unsettled:
+                    return first
+                if not cross:
+                    row = [c for c in row if first[c] is None]
+    return first
 
 
-def _drift_latency(
-    a: Schedule, b: Schedule, horizon: int, drifts: int
-) -> Callable[[int], Optional[int]]:
-    """First-discovery slot (or None) of a drift, for a call asking ``drifts``.
+def _drift_slots(a: Schedule, b: Schedule, drifts: Sequence[int]) -> list[Optional[int]]:
+    """First discovery slot (or None) of each drift, from one sweep of their classes."""
+    first = _sweep(a, b, {d % b.period for d in drifts})
+    return [first[d % b.period] for d in drifts]
 
-    Uses the class sweep's table when it has no more entries than drifts
-    requested, a per-drift scan otherwise.
-    """
-    if b.period <= drifts:
-        classes = _sweep(a, b)
-        return lambda d: classes[d % b.period]
-    return lambda d: _scan(a, b, d, horizon)[0].slot
+
+def _scan(a: Schedule, b: Schedule, drift: int, horizon: int) -> DiscoveryResult:
+    """First discovery of one drift below ``horizon``: a one-class sweep."""
+    slot = _sweep(a, b, (drift % b.period,), horizon)[drift % b.period]
+    return DiscoveryResult(slot is not None, slot)
 
 
 def first_discovery(pair: DriftedPair, horizon: Optional[int] = None) -> DiscoveryResult:
@@ -166,8 +154,7 @@ def first_discovery(pair: DriftedPair, horizon: Optional[int] = None) -> Discove
         horizon = lcm(pair.a.period, pair.b.period)
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    result, _ = _scan(pair.a, pair.b, pair.drift, horizon)
-    return result
+    return _scan(pair.a, pair.b, pair.drift, horizon)
 
 
 def _analytic_latency(
@@ -254,12 +241,11 @@ def verify_all_drifts(
         # Each class holds horizon // T_b drifts, so the per-class maximum
         # and mean are the per-drift ones; int/int division is correctly
         # rounded, so the mean is bit-identical to a per-drift average.
-        slots = _sweep(a, b, max_work)
+        slots = list(_sweep(a, b, range(b.period), max_work=max_work).values())
     else:
         if sample < 1:
             raise ValueError(f"sample must be >= 1, got {sample}")
-        latency = _drift_latency(a, b, horizon, sample)
-        slots = [latency(trial_drift(seed, i, horizon)) for i in range(sample)]
+        slots = _drift_slots(a, b, [trial_drift(seed, i, horizon) for i in range(sample)])
     latencies = [t for t in slots if t is not None]
     return DriftVerification(
         all_discover=len(latencies) == len(slots),
@@ -313,35 +299,28 @@ def latency_trials(
     Each trial draws its drift uniformly from [0, lcm(T_a, T_b)) via
     :func:`trial_drift`, then computes the exact first discovery with
     horizon lcm(T_a, T_b): analytically when both nodes run divisibility
-    schedules (whose hyperperiods can make a slot walk infeasible), from
-    the drift-class table when T_b <= ``trials``, by scanning otherwise.
-    Identical inputs give identical output.
+    schedules (whose hyperperiods can make a slot walk infeasible), else
+    from one walk that settles the drift classes of all trials.  Identical
+    inputs give identical output.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     div_a, div_b = cfg_a.params.divisors, cfg_b.params.divisors
     horizon = lcm(cfg_a.params.period, cfg_b.params.period)
+    drifts = [trial_drift(seed, i, horizon) for i in range(trials)]
     if div_a is not None and div_b is not None:
-        latency = _analytic_latency(div_a, div_b)
+        slots = list(map(_analytic_latency(div_a, div_b), drifts))
     else:
-        latency = _drift_latency(cfg_a.schedule, cfg_b.schedule, horizon, trials)
-    rows: list[TrialResult] = []
-    found: list[int] = []
-    misses = 0
-    for i in range(trials):
-        d = trial_drift(seed, i, horizon)
-        slot = latency(d)
-        if slot is not None:
-            found.append(slot)
-            rows.append(TrialResult(i, d, slot, True))
-        else:
-            misses += 1
-            rows.append(TrialResult(i, d, None, False))
+        slots = _drift_slots(cfg_a.schedule, cfg_b.schedule, drifts)
+    found = [t for t in slots if t is not None]
     return LatencyDistribution(
         latencies=tuple(sorted(found)),
         trial_count=trials,
-        undiscovered_count=misses,
-        trials=tuple(rows),
+        undiscovered_count=trials - len(found),
+        trials=tuple(
+            TrialResult(i, d, t, t is not None)
+            for i, (d, t) in enumerate(zip(drifts, slots))
+        ),
     )
 
 

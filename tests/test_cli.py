@@ -130,6 +130,18 @@ def test_cmd_granularity_leaves_bound_empty_below_float_range(capsys):
     assert rows[1].endswith('",')
 
 
+def test_cmd_granularity_renders_duty_cycles_below_float_range(capsys):
+    sweep = "list:1e-400,1e-330,1e-320"
+    assert main(["granularity", "--protocols", "hedis", "--sweep", sweep]) == 0
+    rows = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+    assert [r.split(",")[:4] for r in rows[1:]] == [
+        ["hedis", "1e-400", "1e-400", "0"],
+        ["hedis", "1e-330", "1e-330", "0"],
+        # nonzero as a float: rendered from the float, as before
+        ["hedis", "9.99988867183e-321", "9.99988867183e-321", "0"],
+    ]
+
+
 def test_cmd_granularity_error_rows_set_exit_status(tmp_path, capsys):
     out = tmp_path / "g.csv"
     code = main(
@@ -154,6 +166,21 @@ def test_cmd_verify(capsys):
     out = capsys.readouterr().out
     assert "all_discover=true" in out
     assert "exhaustive=true" in out
+
+
+@pytest.mark.parametrize(
+    "specs, sample, seed, peak, mean",
+    [
+        (["todis:n=299", "todis:n=59"], "1000", "3", "10166", "2032.805"),
+        (["hedis:n=4", "hedis:n=100000"], "5", "1", "297803", "118625.8"),
+    ],
+    ids=["todis", "hedis"],
+)
+def test_cmd_verify_sampled_latencies(specs, sample, seed, peak, mean, capsys):
+    assert main(["verify", *specs, "--sample", sample, "--seed", seed]) == 0
+    out = capsys.readouterr().out
+    assert f"all_discover=true\nmax_latency={peak}\nmean_latency={mean}\n" in out
+    assert f"drifts_checked={sample}\nexhaustive=false\n" in out
 
 
 def test_cmd_verify_prints_canonical_specs(capsys):

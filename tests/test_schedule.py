@@ -1,18 +1,10 @@
-"""Schedule construction, rotation and duty-cycle behavior."""
+"""Schedule construction and duty-cycle behavior."""
 
-import random
 from fractions import Fraction
 
 import pytest
 
-from nbrdisc.schedule import (
-    Schedule,
-    duty_cycle,
-    format_schedule,
-    is_active,
-    make_schedule,
-    rotate,
-)
+from nbrdisc.schedule import duty_cycle, make_schedule
 
 
 def test_make_schedule_basic():
@@ -42,48 +34,6 @@ def test_make_schedule_rejects_bad_input():
         make_schedule(6, [-1])
 
 
-def test_is_active_periodic_extension():
-    s = make_schedule(6, [5])
-    assert is_active(s, 5)
-    assert is_active(s, 11)  # 11 mod 6 = 5
-    assert not is_active(s, 0)
-    assert all(is_active(s, 5 + 6 * j) for j in range(10))
-
-
-def test_rotate_example():
-    s = make_schedule(9, [1, 8])
-    assert rotate(s, 1).active == frozenset({0, 7})
-
-
-def test_rotate_identities():
-    s = make_schedule(9, [1, 8])
-    assert rotate(s, 0) == s
-    assert rotate(s, 9) == s
-    assert rotate(s, -9) == s
-
-
-def test_rotate_round_trip_and_duty_invariance():
-    rng = random.Random(7)
-    for _ in range(50):
-        period = rng.randint(1, 40)
-        slots = [rng.randrange(period) for _ in range(rng.randint(0, period))]
-        s = make_schedule(period, slots)
-        k = rng.randint(-100, 100)
-        assert rotate(rotate(s, k), -k) == s
-        assert duty_cycle(rotate(s, k)) == duty_cycle(s)
-
-
-def test_rotate_matches_pointwise_shift():
-    rng = random.Random(11)
-    for _ in range(30):
-        period = rng.randint(1, 30)
-        s = make_schedule(period, [rng.randrange(period) for _ in range(5)])
-        k = rng.randint(-60, 60)
-        r = rotate(s, k)
-        for t in range(period):
-            assert is_active(r, t) == is_active(s, t + k)
-
-
 def test_duty_cycle_exact():
     assert duty_cycle(make_schedule(6, [5])) == Fraction(1, 6)
     assert duty_cycle(make_schedule(9, [1, 8])) == Fraction(2, 9)
@@ -93,8 +43,3 @@ def test_duty_cycle_exact():
 def test_round_trip_fields():
     s = make_schedule(12, [0, 3, 7])
     assert make_schedule(s.period, s.active) == s
-
-
-def test_format_schedule():
-    assert format_schedule(make_schedule(9, [8, 1])) == "period=9 active=1,8"
-    assert format_schedule(Schedule(3, frozenset())) == "period=3 active="

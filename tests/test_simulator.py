@@ -12,7 +12,7 @@ from nbrdisc.protocols import (
     coprimality_schedule,
     select_params,
 )
-from nbrdisc.schedule import make_schedule, rotate
+from nbrdisc.schedule import make_schedule
 from nbrdisc.simulator import (
     DiscoveryResult,
     DriftedPair,
@@ -70,8 +70,9 @@ def test_drift_equals_rotation():
         b = make_schedule(pb, [rng.randrange(pb) for _ in range(rng.randint(1, 6))])
         d = rng.randint(0, 4 * pb)
         horizon = min(lcm(pa, pb), 5000)
+        rotated = make_schedule(pb, [(s - d) % pb for s in b.active])
         assert first_discovery(DriftedPair(a, b, d), horizon) == first_discovery(
-            DriftedPair(a, rotate(b, d), 0), horizon
+            DriftedPair(a, rotated, 0), horizon
         )
 
 
@@ -212,9 +213,8 @@ def test_verify_all_drifts_sweep_budget_guard():
     assert not verify_all_drifts(a, b, max_work=16).all_discover
 
 
-def _per_drift_verification(a, b, drifts, exhaustive):
-    """Reference: one independent scan per drift, summarised per drift."""
-    slots = [first_discovery(DriftedPair(a, b, d)).slot for d in drifts]
+def _verification(slots, exhaustive):
+    """Summary of per-drift first discovery slots (None: never met)."""
     found = [t for t in slots if t is not None]
     return DriftVerification(
         all_discover=len(found) == len(slots),
@@ -222,6 +222,25 @@ def _per_drift_verification(a, b, drifts, exhaustive):
         mean_latency=sum(found) / len(found) if found else None,
         exhaustive=exhaustive,
         drifts_checked=len(slots),
+    )
+
+
+def _per_drift_verification(a, b, drifts, exhaustive):
+    """Reference: one independent one-drift walk per drift, summarised per drift."""
+    return _verification(
+        [first_discovery(DriftedPair(a, b, d)).slot for d in drifts], exhaustive
+    )
+
+
+def _brute_first(a, b, drift, horizon):
+    """Reference: test every slot below ``horizon`` in turn, drift unreduced."""
+    return next(
+        (
+            t
+            for t in range(horizon)
+            if t % a.period in a.active and (t + drift) % b.period in b.active
+        ),
+        None,
     )
 
 
@@ -242,7 +261,7 @@ def test_verify_all_drifts_matches_per_drift_scan():
         assert verify_all_drifts(a, b) == _per_drift_verification(
             a, b, range(horizon), True
         )
-        # both sampled engines: per-drift scan below T_b drifts, class table at or above
+        # both walk modes: probing fewer classes than b has wake slots, crossing otherwise
         for sample in (1, b.period - 1, b.period, 2 * b.period + 3):
             if sample < 1:
                 continue
@@ -252,12 +271,41 @@ def test_verify_all_drifts_matches_per_drift_scan():
             ) == _per_drift_verification(a, b, drifts, False)
 
 
+def test_first_discovery_matches_slot_by_slot_reference():
+    rng = random.Random(31)
+    pairs = [(S_A, S_B), (S_B, S_A), (make_schedule(5, []), S_B), (S_A, make_schedule(4, []))]
+    pairs += [(_random_schedule(rng), _random_schedule(rng)) for _ in range(400)]
+    for a, b in pairs:
+        span = lcm(a.period, b.period)
+        drift = rng.randint(-3 * span, 3 * span)
+        for horizon in (1, rng.randint(1, span), span, span + rng.randint(1, 2 * span)):
+            ref = _brute_first(a, b, drift, horizon)
+            assert first_discovery(DriftedPair(a, b, drift), horizon) == DiscoveryResult(
+                ref is not None, ref
+            ), (a, b, drift, horizon)
+
+
+def test_verify_all_drifts_matches_slot_by_slot_reference():
+    rng = random.Random(37)
+    pairs = [(S_A, S_B), (make_schedule(5, []), S_B)]
+    pairs += [(_random_schedule(rng), _random_schedule(rng)) for _ in range(150)]
+    for a, b in pairs:
+        span = lcm(a.period, b.period)
+        for sample in {1, len(b.active) - 1, len(b.active), 2 * b.period + 3} - {0, -1}:
+            drifts = [trial_drift(9, i, span) for i in range(sample)]
+            expected = _verification([_brute_first(a, b, d, span) for d in drifts], False)
+            assert verify_all_drifts(a, b, sample=sample, seed=9) == expected
+        if span <= 300:
+            expected = _verification([_brute_first(a, b, d, span) for d in range(span)], True)
+            assert verify_all_drifts(a, b) == expected
+
+
 @pytest.mark.parametrize("protocol", ["hedis", "uconnect", "searchlight"])
 def test_latency_trials_class_table_matches_first_discovery(protocol):
     cfg_a = select_params(protocol, Fraction(1, 10))
     cfg_b = select_params(protocol, Fraction(1, 4))
     sched_a, sched_b = cfg_a.schedule, cfg_b.schedule
-    trials = sched_b.period + 50  # T_b <= trials: the class-table path
+    trials = sched_b.period + 50  # more classes than b's wake slots: the crossing walk
     dist = latency_trials(cfg_a, cfg_b, trials, seed=5)
     assert len(dist.trials) == trials
     for tr in dist.trials:

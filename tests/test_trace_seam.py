@@ -15,14 +15,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_traced_replay_records_each_layer(tmp_path):
+def _traced_span_names(tmp_path, argv):
+    """Replay ``nbrdisc <argv>`` traced; return the names of the spans recorded."""
     result = tmp_path / "seam.result.json"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    argv = ["simulate", "--protocols", "all", "--delta-a", "1%", "--delta-b", "5%",
-            "--trials", "2", "--out", str(tmp_path / "sim")]
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "replay.py"), "--workload", "seam",
          "--trace", "1", "--result", str(result), "--stdout", str(tmp_path / "stdout.txt"),
@@ -32,9 +31,19 @@ def test_traced_replay_records_each_layer(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(result.read_text())["rc"] == 0
     spans = (tmp_path / "seam.spans.jsonl").read_text().splitlines()
-    names = {json.loads(line)[1] for line in spans}
+    return {json.loads(line)[1] for line in spans}
+
+
+def test_traced_replay_records_each_layer(tmp_path):
+    argv = ["simulate", "--protocols", "all", "--delta-a", "1%", "--delta-b", "5%",
+            "--trials", "2", "--out", str(tmp_path / "sim")]
     assert {
         "protocols.build_schedule",
         "simulator.latency_trials",
         "numtheory.solve_congruence_pair",
-    } <= names
+    } <= _traced_span_names(tmp_path, argv)
+
+
+def test_traced_replay_records_sampled_verify(tmp_path):
+    argv = ["verify", "todis:n=201", "todis:n=61", "--sample", "2"]
+    assert "simulator.verify_all_drifts" in _traced_span_names(tmp_path, argv)
