@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -24,6 +23,7 @@ from .granularity import escape_error, format_rational, granularity_csv_rows, sw
 from .protocols import (
     PROTOCOL_ORDER,
     NotationError,
+    ParameterError,
     SelectionError,
     SelectionOptions,
     build_schedule,
@@ -31,7 +31,7 @@ from .protocols import (
     parse_params,
     select_params,
 )
-from .numtheory import lcm, worst_case_bound
+from .numtheory import worst_case_bound
 from .schedule import duty_cycle
 from .simulator import (
     ScanBudgetError,
@@ -41,21 +41,6 @@ from .simulator import (
     trials_csv_rows,
     verify_all_drifts,
 )
-
-
-@dataclass(frozen=True)
-class RunSpec:
-    """One CLI invocation, as recorded in output metadata."""
-
-    argv: tuple[str, ...]
-    seed: int
-
-    def metadata_lines(self) -> list[str]:
-        return [
-            "# command: nbrdisc " + " ".join(self.argv),
-            f"# seed: {self.seed}",
-            f"# version: {__version__}",
-        ]
 
 
 def parse_delta(text: str) -> Fraction:
@@ -115,8 +100,11 @@ def _options_from(args: argparse.Namespace) -> SelectionOptions:
     return SelectionOptions(hedis_parity=args.parity, searchlight_t=args.searchlight_t)
 
 
-def _write_lines(out: Optional[str], lines: Iterable[str], spec: RunSpec) -> None:
-    text = "\n".join([*spec.metadata_lines(), *lines]) + "\n"
+def _write_lines(
+    out: Optional[str], lines: Iterable[str], argv: Sequence[str], seed: int
+) -> None:
+    head = f"# command: nbrdisc {' '.join(argv)}\n# seed: {seed}\n# version: {__version__}"
+    text = "\n".join([head, *lines]) + "\n"
     if out is None:
         sys.stdout.write(text)
     else:
@@ -128,7 +116,7 @@ def _write_lines(out: Optional[str], lines: Iterable[str], spec: RunSpec) -> Non
 # --------------------------------------------------------------------------
 
 
-def cmd_schedule(args: argparse.Namespace, spec: RunSpec) -> int:
+def cmd_schedule(args: argparse.Namespace, argv: Sequence[str]) -> int:
     if args.limit < 0:
         raise NotationError(f"--limit must be >= 0, got {args.limit}")
     params = parse_params(args.spec)
@@ -143,11 +131,11 @@ def cmd_schedule(args: argparse.Namespace, spec: RunSpec) -> int:
         f"limit={limit}",
         "active=" + ",".join(str(t) for t in slots),
     ]
-    _write_lines(args.out, lines, spec)
+    _write_lines(args.out, lines, argv, args.seed)
     return 0
 
 
-def cmd_params(args: argparse.Namespace, spec: RunSpec) -> int:
+def cmd_params(args: argparse.Namespace, argv: Sequence[str]) -> int:
     delta = parse_delta(args.delta)
     records = sweep(parse_protocols(args.protocols), [delta], _options_from(args))
     desired = format_rational(delta)
@@ -158,23 +146,23 @@ def cmd_params(args: argparse.Namespace, spec: RunSpec) -> int:
             continue
         achieved, err = format_rational(rec.achieved_delta), format_rational(rec.relative_error)
         lines.append(f'{rec.protocol},"{format_params(rec.params)}",{desired},{achieved},{err}')
-    _write_lines(args.out, lines, spec)
+    _write_lines(args.out, lines, argv, args.seed)
     return 1 if any(rec.error is not None for rec in records) else 0
 
 
-def cmd_granularity(args: argparse.Namespace, spec: RunSpec) -> int:
+def cmd_granularity(args: argparse.Namespace, argv: Sequence[str]) -> int:
     protocols = parse_protocols(args.protocols)
     deltas = parse_sweep(args.sweep)
     records = sweep(protocols, deltas, _options_from(args))
     lines = list(granularity_csv_rows(records))
-    _write_lines(args.out, lines, spec)
+    _write_lines(args.out, lines, argv, args.seed)
     return 1 if any(rec.error is not None for rec in records) else 0
 
 
-def cmd_verify(args: argparse.Namespace, spec: RunSpec) -> int:
+def cmd_verify(args: argparse.Namespace, argv: Sequence[str]) -> int:
     params_a, params_b = parse_params(args.spec_a), parse_params(args.spec_b)
     if args.sample is None:
-        check_drift_budget(lcm(params_a.period, params_b.period), args.max_work)
+        check_drift_budget(params_a.period, params_b.period, args.max_work)
     result = verify_all_drifts(
         build_schedule(params_a),
         build_schedule(params_b),
@@ -193,11 +181,11 @@ def cmd_verify(args: argparse.Namespace, spec: RunSpec) -> int:
         f"drifts_checked={result.drifts_checked}",
         f"exhaustive={str(result.exhaustive).lower()}",
     ]
-    _write_lines(args.out, lines, spec)
+    _write_lines(args.out, lines, argv, args.seed)
     return 0 if result.all_discover else 1
 
 
-def cmd_simulate(args: argparse.Namespace, spec: RunSpec) -> int:
+def cmd_simulate(args: argparse.Namespace, argv: Sequence[str]) -> int:
     protocols = parse_protocols(args.protocols)
     delta_a = parse_delta(args.delta_a)
     delta_b = parse_delta(args.delta_b)
@@ -209,15 +197,15 @@ def cmd_simulate(args: argparse.Namespace, spec: RunSpec) -> int:
         try:
             cfg_a = select_params(protocol, delta_a, options)
             cfg_b = select_params(protocol, delta_b, options)
-        except SelectionError as exc:
+            dist = latency_trials(cfg_a, cfg_b, args.trials, args.seed)
+        except (SelectionError, ParameterError) as exc:
             print(f"{protocol}: error:{escape_error(str(exc))}")
             status = 1
             continue
-        dist = latency_trials(cfg_a, cfg_b, args.trials, args.seed)
         _write_lines(
-            str(out_dir / f"{protocol}_trials.csv"), trials_csv_rows(dist), spec
+            str(out_dir / f"{protocol}_trials.csv"), trials_csv_rows(dist), argv, args.seed
         )
-        _write_lines(str(out_dir / f"{protocol}_cdf.csv"), cdf_csv_rows(dist), spec)
+        _write_lines(str(out_dir / f"{protocol}_cdf.csv"), cdf_csv_rows(dist), argv, args.seed)
         set_a, set_b = cfg_a.params.rendezvous, cfg_b.params.rendezvous
         bound = ""
         if set_a is not None and set_b is not None:
@@ -315,9 +303,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    spec = RunSpec(argv=tuple(argv), seed=getattr(args, "seed", 0))
     try:
-        return args.func(args, spec)
+        return args.func(args, argv)
     except (ScanBudgetError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -4,8 +4,9 @@ How closely can each protocol match an arbitrary requested duty cycle?  The
 metric is the relative error |achieved - desired| / desired, computed with
 exact rationals.  For todis there is also a closed-form worst-case envelope:
 between two consecutive supported duty cycles f(2k-1) and f(2k+1), where
-f(n) = 3*(n*n - n - 1) / (n * (n*n - 4)), the error peaks at their midpoint,
-and eliminating the midpoint condition yields a quartic in k,
+f(n) is the todis duty cycle of ``TodisParams.ratio``, the error peaks at
+their midpoint, and eliminating the midpoint condition yields a quartic
+in k,
 
     16*d*k**4 - 24*k**3 + (12 - 40*d)*k**2 + 36*k + 9*d - 9 = 0.
 
@@ -24,6 +25,7 @@ from typing import Iterable, Optional, Sequence
 from .protocols import (
     ProtocolParams,
     SelectionOptions,
+    TodisParams,
     as_fraction,
     format_params,
     select_params,
@@ -90,8 +92,9 @@ def sweep(
 
 
 def _f(x: float) -> float:
-    """Triple-odd duty-cycle formula extended to real arguments."""
-    return 3.0 * (x * x - x - 1.0) / (x * (x * x - 4.0))
+    """todis duty cycle extended to real arguments."""
+    num, den = TodisParams.ratio(x)
+    return num / den
 
 
 # Above this duty cycle the quartic has no root with k >= 2 (the envelope's

@@ -17,8 +17,8 @@ in the :data:`PROTOCOLS` registry; callers ask the parameter value for its
 ``build()``, ``period``, ``duty``, ``divisors`` and ``rendezvous`` set.
 
 :func:`select_params` picks, for a requested duty cycle, the protocol
-parameter whose achieved duty cycle lies closest.  All comparisons use
-exact rational arithmetic so near-ties resolve identically everywhere.
+parameter whose achieved duty cycle lies closest.  All comparisons are
+exact, in integers, so near-ties resolve identically everywhere.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import ClassVar, Iterable, Optional
+from typing import Callable, ClassVar, Iterable, Optional, Sequence
 
 from .numtheory import primes_up_to
 from .schedule import Schedule
@@ -38,9 +38,13 @@ from .schedule import Schedule
 # periods desk-sized while comfortably covering duty cycles down to 1%.
 PRIME_POOL_LIMIT = 10_000
 
+# Largest wake-slot count per period that build_schedule materializes; the
+# largest selectable schedule, todis n=1201, holds about 4.3 million.
+MAX_WAKE_SLOTS = 10**7
+
 
 class ParameterError(ValueError):
-    """Protocol parameter outside its legal range."""
+    """Protocol parameter outside its legal range or its build cap."""
 
 
 class SelectionError(ValueError):
@@ -77,18 +81,35 @@ def coprimality_schedule(divisors: Iterable[int]) -> Schedule:
         raise ValueError("coprimality schedule needs at least one divisor")
     if ds[0] < 1:
         raise ValueError(f"divisors must be positive, got {ds[0]}")
-    period = 1
-    for d in ds:
-        period = period // math.gcd(period, d) * d
-    active: set[int] = set()
-    for d in ds:
-        active.update(range(0, period, d))
-    return Schedule(period, frozenset(active))
+    period = math.lcm(*ds)
+    return Schedule(period, frozenset().union(*(range(0, period, d) for d in ds)))
 
 
 @lru_cache(maxsize=None)
 def _prime_pool() -> tuple[int, ...]:
     return tuple(primes_up_to(PRIME_POOL_LIMIT))
+
+
+def _closest(keys: Sequence, ratio: Callable, delta: Fraction, *, tie_to_later: bool = False):
+    """The key whose duty cycle ``ratio(key)`` lies closest to ``delta``.
+
+    ``keys`` must be ordered by strictly falling duty.  Bisects the first key
+    at or below ``delta`` and compares it with the key before it, exactly and
+    in integers; a tie goes to the earlier key unless ``tie_to_later``.
+    """
+    num, den = delta.numerator, delta.denominator
+
+    def at_or_below(key) -> bool:
+        a, b = ratio(key)
+        return a * den <= num * b
+
+    i = bisect_left(keys, True, key=at_or_below)
+    if i == 0 or i == len(keys):
+        return keys[min(i, len(keys) - 1)]
+    (a0, b0), (a1, b1) = ratio(keys[i - 1]), ratio(keys[i])
+    # both errors scaled by den * b0 * b1 > 0
+    above, below = (a0 * den - num * b0) * b1, (num * b1 - a1 * den) * b0
+    return keys[i] if below < above or (below == above and tie_to_later) else keys[i - 1]
 
 
 # --------------------------------------------------------------------------
@@ -100,9 +121,11 @@ class ProtocolParams:
     """Base of the five parameter classes; each subclass is one protocol.
 
     A subclass is a frozen dataclass whose fields are the protocol's
-    parameters in notation order.  It provides ``name``, the ``period`` and
-    exact ``duty`` implied by its parameters (without building the
-    schedule), ``build()`` and the classmethod ``select(delta, options)``.
+    parameters in notation order.  It provides ``name``, the ``period``
+    implied by its parameters, the staticmethod ``ratio(*fields)`` giving
+    its duty cycle as an integer pair (numerator, denominator), ``build()``
+    and the classmethod ``select(delta, options)``; ``duty`` is the exact
+    duty cycle from ``ratio`` (neither builds the schedule).
     ``divisors`` is the divisor set of a pure divisibility schedule and None
     for grid schedules (uconnect's half-row makes it one, although it
     carries a prime); ``rendezvous``, the integer set entering the
@@ -111,6 +134,10 @@ class ProtocolParams:
 
     name: ClassVar[str]
     divisors: Optional[frozenset[int]] = None
+
+    @property
+    def duty(self) -> Fraction:
+        return Fraction(*self.ratio(*(getattr(self, f.name) for f in fields(self))))
 
     @property
     def rendezvous(self) -> Optional[frozenset[int]]:
@@ -139,9 +166,9 @@ class DiscoParams(ProtocolParams):
     def period(self) -> int:
         return self.p1 * self.p2
 
-    @property
-    def duty(self) -> Fraction:
-        return Fraction(self.p1 + self.p2 - 1, self.p1 * self.p2)
+    @staticmethod
+    def ratio(p1: int, p2: int) -> tuple[int, int]:
+        return p1 + p2 - 1, p1 * p2
 
     @property
     def divisors(self) -> frozenset[int]:
@@ -149,25 +176,15 @@ class DiscoParams(ProtocolParams):
 
     @classmethod
     def select(cls, delta: Fraction, options: SelectionOptions) -> DiscoParams:
-        primes = _prime_pool()
-        num, den = delta.numerator, delta.denominator
-
         # disco runs balanced: each node pairs a prime with the next one, so
         # the achieved duty cycle is roughly 2/p1 and the granularity is
-        # limited by the prime gaps.  The pair duty decreases strictly along
-        # the pair list; bisect the first pair at or below delta and compare
-        # neighbors exactly, ties going to the larger pair.
-        def below(i: int) -> bool:
-            p, q = primes[i], primes[i + 1]
-            return (p + q - 1) * den <= num * p * q
-
-        def error(i: int) -> tuple[Fraction, int]:
-            p, q = primes[i], primes[i + 1]
-            return abs(Fraction(p + q - 1, p * q) - delta), -p
-
-        lo = bisect_left(range(len(primes) - 1), True, key=below)
-        best = min((i for i in (lo - 1, lo) if 0 <= i < len(primes) - 1), key=error)
-        return cls(primes[best], primes[best + 1])
+        # limited by the prime gaps.  Ties go to the larger pair.
+        primes = _prime_pool()
+        i = _closest(
+            range(len(primes) - 1), lambda i: cls.ratio(primes[i], primes[i + 1]), delta,
+            tie_to_later=True,
+        )
+        return cls(primes[i], primes[i + 1])
 
 
 @dataclass(frozen=True)
@@ -189,9 +206,9 @@ class UConnectParams(ProtocolParams):
     def period(self) -> int:
         return self.p * self.p
 
-    @property
-    def duty(self) -> Fraction:
-        return Fraction(3 * self.p - 1, 2 * self.p * self.p)
+    @staticmethod
+    def ratio(p: int) -> tuple[int, int]:
+        return 3 * p - 1, 2 * p * p
 
     @property
     def rendezvous(self) -> frozenset[int]:
@@ -204,19 +221,7 @@ class UConnectParams(ProtocolParams):
 
     @classmethod
     def select(cls, delta: Fraction, options: SelectionOptions) -> UConnectParams:
-        primes = _prime_pool()[1:]  # odd primes: the pool starts at 2
-        num, den = delta.numerator, delta.denominator
-
-        def below(p: int) -> bool:  # (3p - 1) / (2 p^2) <= delta, in integers
-            return (3 * p - 1) * den <= num * 2 * p * p
-
-        lo = bisect_left(primes, True, key=below)
-        candidates = [primes[j] for j in (lo - 1, lo) if 0 <= j < len(primes)]
-        best = min(
-            candidates,
-            key=lambda p: (abs(Fraction(3 * p - 1, 2 * p * p) - delta), p),
-        )
-        return cls(best)
+        return cls(_closest(_prime_pool()[1:], cls.ratio, delta))  # odd primes
 
 
 @dataclass(frozen=True)
@@ -243,9 +248,9 @@ class SearchlightParams(ProtocolParams):
         stride = self.t**self.i
         return stride * ((stride + 1) // 2)
 
-    @property
-    def duty(self) -> Fraction:
-        return Fraction(2, self.t**self.i)
+    @staticmethod
+    def ratio(t: int, i: int) -> tuple[int, int]:
+        return 2, t**i
 
     def build(self) -> Schedule:
         # sub-period j wakes at j*stride and 1 + j past it: j*(stride+1) + 1
@@ -256,13 +261,9 @@ class SearchlightParams(ProtocolParams):
 
     @classmethod
     def select(cls, delta: Fraction, options: SelectionOptions) -> SearchlightParams:
-        t = options.searchlight_t
-        i = 1
-        while Fraction(2, t**i) > delta:
-            i += 1
-        candidates = [i] if i == 1 else [i - 1, i]
-        best = min(candidates, key=lambda j: (abs(Fraction(2, t**j) - delta), j))
-        return cls(t, best)
+        # t**i >= 2**i > 2/delta once i reaches the bit length of 2/delta
+        t, top = options.searchlight_t, (2 * delta.denominator // delta.numerator).bit_length()
+        return cls(t, _closest(range(1, top + 2), lambda i: cls.ratio(t, i), delta))
 
 
 @dataclass(frozen=True)
@@ -284,9 +285,9 @@ class HedisParams(ProtocolParams):
     def period(self) -> int:
         return self.n * (self.n - 1)
 
-    @property
-    def duty(self) -> Fraction:
-        return Fraction(2, self.n)
+    @staticmethod
+    def ratio(n: int) -> tuple[int, int]:
+        return 2, n
 
     def build(self) -> Schedule:
         anchors = range(0, self.period, self.n)
@@ -296,15 +297,11 @@ class HedisParams(ProtocolParams):
     @classmethod
     def select(cls, delta: Fraction, options: SelectionOptions) -> HedisParams:
         rem = 0 if options.hedis_parity == "even" else 1
-        n_min = 4 if rem == 0 else 3
-        # 2/n decreases in n: take the smallest parity-matching n with
-        # 2/n <= delta and its predecessor, then compare exactly.
-        raw = (2 * delta.denominator + delta.numerator - 1) // delta.numerator
-        hi = raw if raw % 2 == rem else raw + 1
-        hi = max(hi, n_min)
-        candidates = [n for n in (hi - 2, hi) if n >= n_min]
-        best = min(candidates, key=lambda n: (abs(Fraction(2, n) - delta), n))
-        return cls(best)
+        n_min = 4 - rem
+        # the smallest parity-matching n >= n_min with 2/n <= delta, and the one before
+        raw = -(-2 * delta.denominator // delta.numerator)
+        hi = max(raw + (raw - rem) % 2, n_min)
+        return cls(_closest(range(max(hi - 2, n_min), hi + 1, 2), cls.ratio, delta))
 
 
 @dataclass(frozen=True)
@@ -322,10 +319,10 @@ class TodisParams(ProtocolParams):
     def period(self) -> int:
         return (self.n - 2) * self.n * (self.n + 2)
 
-    @property
-    def duty(self) -> Fraction:
-        n = self.n
-        return Fraction(3 * (n * n - n - 1), n * (n * n - 4))
+    @staticmethod
+    def ratio(n: int) -> tuple[int, int]:
+        # granularity's error envelope also evaluates this at real n
+        return 3 * (n * n - n - 1), n * (n * n - 4)
 
     @property
     def divisors(self) -> frozenset[int]:
@@ -333,17 +330,7 @@ class TodisParams(ProtocolParams):
 
     @classmethod
     def select(cls, delta: Fraction, options: SelectionOptions) -> TodisParams:
-        num, den = delta.numerator, delta.denominator
-        n_max = options.todis_max_n if options.todis_max_n % 2 else options.todis_max_n - 1
-
-        def below(n: int) -> bool:  # TodisParams(n).duty <= delta, in integers
-            return 3 * (n * n - n - 1) * den <= num * n * (n * n - 4)
-
-        # duty decreases in n: bisect the first odd n with duty <= delta.
-        boundary = 5 + 2 * bisect_left(range(5, n_max + 1, 2), True, key=below)
-        candidates = [n for n in (boundary - 2, boundary) if 5 <= n <= n_max]
-        best = min(candidates, key=lambda n: (abs(cls(n).duty - delta), n))
-        return cls(best)
+        return cls(_closest(range(5, options.todis_max_n + 1, 2), cls.ratio, delta))
 
 
 PROTOCOLS: dict[str, type[ProtocolParams]] = {
@@ -361,7 +348,17 @@ def protocol_tag(params: ProtocolParams) -> str:
 
 # The traced benchmark replay rebinds this name to time every schedule build.
 def build_schedule(params: ProtocolParams) -> Schedule:
-    """Construct the wake-up schedule for any parameter value."""
+    """Construct the wake-up schedule for any parameter value.
+
+    Raises :class:`ParameterError`, before building anything, when the
+    schedule would hold more than :data:`MAX_WAKE_SLOTS` wake slots.
+    """
+    slots = params.duty * params.period
+    if slots > MAX_WAKE_SLOTS:
+        raise ParameterError(
+            f"{format_params(params)} has {slots} wake slots per period, "
+            f"above the build cap of {MAX_WAKE_SLOTS}"
+        )
     return params.build()
 
 
@@ -433,8 +430,10 @@ def select_params(
 ) -> NodeConfig:
     """Pick the protocol parameter whose duty cycle best approximates ``delta``.
 
-    Errors are compared with exact rationals; ties break toward the smaller
-    achieved period (for disco, toward the more balanced pair first).
+    Errors are compared exactly, in integers.  A duty cycle exactly midway
+    between two candidates goes to the smaller parameter (the higher duty
+    cycle) for uconnect, searchlight, hedis and todis, and to the larger
+    consecutive-prime pair (the lower duty cycle) for disco.
     Raises :class:`SelectionError` when even the best candidate misses the
     target by 100% or more.
     """

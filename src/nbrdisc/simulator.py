@@ -140,8 +140,15 @@ def _drift_slots(a: Schedule, b: Schedule, drifts: Sequence[int]) -> list[Option
 
 
 def _scan(a: Schedule, b: Schedule, drift: int, horizon: int) -> DiscoveryResult:
-    """First discovery of one drift below ``horizon``: a one-class sweep."""
-    slot = _sweep(a, b, (drift % b.period,), horizon)[drift % b.period]
+    """First discovery of one drift below ``horizon``: a one-class sweep.
+
+    The sweep walks its first schedule's wake slots, so when b wakes less
+    often than a it walks b shifted back by the drift, against a as class 0.
+    """
+    c = drift % b.period
+    if len(b.active) * a.period < len(a.active) * b.period:
+        a, b, c = Schedule(b.period, frozenset((s - c) % b.period for s in b.active)), a, 0
+    slot = _sweep(a, b, (c,), horizon)[c]
     return DiscoveryResult(slot is not None, slot)
 
 
@@ -206,12 +213,13 @@ class DriftVerification:
     drifts_checked: int
 
 
-def check_drift_budget(drifts: int, max_work: int) -> None:
+def check_drift_budget(period_a: int, period_b: int, max_work: int) -> None:
     """Refuse an exhaustive verification of more than ``max_work`` drifts.
 
-    The drift count lcm(T_a, T_b) follows from the parameters alone, so a
+    The drift count lcm(T_a, T_b) follows from the two periods alone, so a
     caller can refuse before building either schedule.
     """
+    drifts = lcm(period_a, period_b)
     if drifts > max_work:
         raise ScanBudgetError(
             f"{drifts} drifts exceed the work guard {max_work}; {_SAMPLE_HINT}"
@@ -237,7 +245,7 @@ def verify_all_drifts(
     """
     horizon = lcm(a.period, b.period)
     if sample is None:
-        check_drift_budget(horizon, max_work)
+        check_drift_budget(a.period, b.period, max_work)
         # Each class holds horizon // T_b drifts, so the per-class maximum
         # and mean are the per-drift ones; int/int division is correctly
         # rounded, so the mean is bit-identical to a per-drift average.

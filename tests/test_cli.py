@@ -6,7 +6,7 @@ import pytest
 
 from nbrdisc import cli
 from nbrdisc.cli import main, parse_delta, parse_protocols, parse_sweep
-from nbrdisc.protocols import NotationError
+from nbrdisc.protocols import NotationError, SearchlightParams, TodisParams
 
 
 def test_parse_delta_forms():
@@ -203,6 +203,28 @@ def test_cmd_verify_refuses_oversized_exhaustive_run_before_building(
     assert "exceed the work guard 100000000" in captured.err
 
 
+def _no_build(params):
+    pytest.fail(f"built {params} past the wake-slot cap")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["schedule", "todis:n=5001", "--limit", "100"],
+        ["verify", "todis:n=5001", "todis:n=4999", "--sample", "5"],
+        ["schedule", "searchlight:t=2,i=30"],
+    ],
+    ids=["schedule-todis", "verify-todis", "schedule-searchlight"],
+)
+def test_cmd_refuses_oversize_schedule_before_building(argv, monkeypatch, capsys):
+    monkeypatch.setattr(TodisParams, "build", _no_build)
+    monkeypatch.setattr(SearchlightParams, "build", _no_build)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "wake slots per period, above the build cap of 10000000" in captured.err
+
+
 def test_cmd_verify_budget_errors_name_the_sample_option(capsys):
     assert main(["verify", "todis:n=5001", "todis:n=4999"]) == 2
     assert "--sample" in capsys.readouterr().err
@@ -294,6 +316,33 @@ def test_cmd_simulate_reports_failed_protocol_in_row(tmp_path, capsys):
     assert sorted(p.name for p in out_dir.iterdir()) == sorted(
         f"{protocol}_{kind}.csv" for protocol in good for kind in ("trials", "cdf")
     )
+
+
+def test_cmd_simulate_reports_oversize_schedule_in_row(tmp_path, monkeypatch, capsys):
+    # stride t = 2e7 gives searchlight 2e7 wake slots per period; hedis still runs
+    monkeypatch.setattr(SearchlightParams, "build", _no_build)
+    code = main(
+        [
+            "simulate",
+            "--protocols",
+            "searchlight,hedis",
+            "--delta-a",
+            "5%",
+            "--delta-b",
+            "5%",
+            "--searchlight-t",
+            "20000000",
+            "--trials",
+            "5",
+            "--out",
+            str(tmp_path / "sim"),
+        ]
+    )
+    assert code == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("searchlight: error:searchlight:t=20000000;i=1 has 20000000 wake")
+    assert lines[1].startswith("hedis: node_a=hedis:n=40")
 
 
 def test_cmd_schedule_rejects_negative_limit(capsys):

@@ -378,6 +378,22 @@ def test_select_searchlight_tie_prefers_smaller_period():
     assert abs(cfg.achieved_delta - Fraction(3, 8)) / Fraction(3, 8) == Fraction(1, 3)
 
 
+@pytest.mark.parametrize(
+    "protocol, earlier, later, expected",
+    [
+        ("disco", DiscoParams(2, 3), DiscoParams(3, 5), DiscoParams(3, 5)),
+        ("uconnect", UConnectParams(5), UConnectParams(7), UConnectParams(5)),
+        ("hedis", HedisParams(40), HedisParams(42), HedisParams(40)),
+        ("todis", TodisParams(7), TodisParams(9), TodisParams(7)),
+    ],
+)
+def test_select_exact_midpoint_tie(protocol, earlier, later, expected):
+    # disco ties (17/30 here) go to the larger pair, every other protocol's
+    # to the smaller parameter (the searchlight tie is pinned above)
+    delta = (earlier.duty + later.duty) / 2
+    assert select_params(protocol, delta).params == expected
+
+
 def test_select_params_rejects_out_of_range_delta():
     with pytest.raises(SelectionError):
         select_params("hedis", Fraction(0))

@@ -1,6 +1,7 @@
 """Discovery engines, drift verification, latency trials and CDFs."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -283,6 +284,16 @@ def test_first_discovery_matches_slot_by_slot_reference():
             assert first_discovery(DriftedPair(a, b, drift), horizon) == DiscoveryResult(
                 ref is not None, ref
             ), (a, b, drift, horizon)
+
+
+def test_first_discovery_walks_the_sparser_schedule():
+    # walking the always-awake a would visit every slot up to the meeting
+    dense, sparse = make_schedule(1, [0]), make_schedule(10**7, [10**7 - 1])
+    for drift, slot in ((0, 10**7 - 1), (3, 10**7 - 4)):
+        start = time.perf_counter()
+        res = first_discovery(DriftedPair(dense, sparse, drift))
+        assert time.perf_counter() - start < 0.5
+        assert res == DiscoveryResult(True, slot)
 
 
 def test_verify_all_drifts_matches_slot_by_slot_reference():

@@ -44,6 +44,15 @@ def test_traced_replay_records_each_layer(tmp_path):
     } <= _traced_span_names(tmp_path, argv)
 
 
+def test_traced_replay_records_granularity_selection(tmp_path):
+    argv = ["granularity", "--protocols", "all", "--sweep", "list:0.05,0.01"]
+    assert {
+        "protocols.select_params",
+        "granularity.sweep",
+        "granularity.todis_error_upper_bound",
+    } <= _traced_span_names(tmp_path, argv)
+
+
 def test_traced_replay_records_sampled_verify(tmp_path):
     argv = ["verify", "todis:n=201", "todis:n=61", "--sample", "2"]
     assert "simulator.verify_all_drifts" in _traced_span_names(tmp_path, argv)
