@@ -61,7 +61,9 @@ def relative_error(
     """Select the best parameter for ``delta`` and report the exact error."""
     delta = as_fraction(delta)
     cfg = select_params(protocol, delta, options)
-    err = abs(cfg.achieved_delta - delta) / delta
+    num, den = delta.numerator, delta.denominator
+    a, b = cfg.achieved_delta.numerator, cfg.achieved_delta.denominator
+    err = Fraction(abs(a * den - num * b), num * b)
     return GranularityRecord(protocol, delta, cfg.achieved_delta, err, cfg.params)
 
 
@@ -154,10 +156,11 @@ GRANULARITY_CSV_HEADER = "protocol,desired_delta,achieved_delta,relative_error,p
 def format_rational(value) -> str:
     """Decimal rendering with 12 significant digits.
 
-    A nonzero fraction below the float range, which ``float`` rounds to 0,
-    is rendered from its exact value instead.
+    A ``Fraction`` is rendered from its correctly rounded integer quotient,
+    which equals ``float(value)``.  A nonzero fraction below the float range,
+    which rounds to 0, is rendered from its exact value instead.
     """
-    x = float(value)
+    x = value.numerator / value.denominator if isinstance(value, Fraction) else float(value)
     if x == 0 and value:
         with localcontext(prec=12):
             return format(Decimal(value.numerator) / value.denominator, ".12g")
@@ -176,7 +179,7 @@ def granularity_csv_rows(records: Iterable[GranularityRecord]) -> Iterable[str]:
     each row's desired duty cycle (empty outside its domain).
     """
     yield GRANULARITY_CSV_HEADER
-    bound_cache: dict[Fraction, str] = {}
+    bound_cache: dict[tuple[int, int], str] = {}
     for rec in records:
         if rec.error is None:
             row = [
@@ -194,12 +197,11 @@ def granularity_csv_rows(records: Iterable[GranularityRecord]) -> Iterable[str]:
                 "",
                 '"error:%s"' % escape_error(rec.error),
             ]
-        if rec.desired_delta not in bound_cache:
+        key = rec.desired_delta.numerator, rec.desired_delta.denominator
+        if key not in bound_cache:
             try:
-                bound_cache[rec.desired_delta] = format_rational(
-                    todis_error_upper_bound(rec.desired_delta)
-                )
+                bound_cache[key] = format_rational(todis_error_upper_bound(rec.desired_delta))
             except ValueError:
-                bound_cache[rec.desired_delta] = ""
-        row.append(bound_cache[rec.desired_delta])
+                bound_cache[key] = ""
+        row.append(bound_cache[key])
         yield ",".join(row)

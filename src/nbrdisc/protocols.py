@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_left
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Callable, ClassVar, Iterable, Optional, Sequence
@@ -121,11 +121,12 @@ class ProtocolParams:
     """Base of the five parameter classes; each subclass is one protocol.
 
     A subclass is a frozen dataclass whose fields are the protocol's
-    parameters in notation order.  It provides ``name``, the ``period``
-    implied by its parameters, the staticmethod ``ratio(*fields)`` giving
-    its duty cycle as an integer pair (numerator, denominator), ``build()``
-    and the classmethod ``select(delta, options)``; ``duty`` is the exact
-    duty cycle from ``ratio`` (neither builds the schedule).
+    parameters in notation order, named by its ``__match_args__``.  It
+    provides ``name``, the ``period`` implied by its parameters, the
+    staticmethod ``ratio(*fields)`` giving its duty cycle as an integer pair
+    (numerator, denominator), ``build()`` and the classmethod
+    ``select(delta, options)``; ``duty`` is the exact duty cycle from
+    ``ratio`` (neither builds the schedule).
     ``divisors`` is the divisor set of a pure divisibility schedule and None
     for grid schedules (uconnect's half-row makes it one, although it
     carries a prime); ``rendezvous``, the integer set entering the
@@ -137,7 +138,7 @@ class ProtocolParams:
 
     @property
     def duty(self) -> Fraction:
-        return Fraction(*self.ratio(*(getattr(self, f.name) for f in fields(self))))
+        return Fraction(*self.ratio(*(getattr(self, name) for name in self.__match_args__)))
 
     @property
     def rendezvous(self) -> Optional[frozenset[int]]:
@@ -413,11 +414,13 @@ class NodeConfig:
 
 
 def as_fraction(value) -> Fraction:
-    """Exact rational from int/str/Fraction input.
+    """Exact rational from int/str/Fraction input; a Fraction is returned itself.
 
     Floats go through their shortest decimal repr, so 0.05 means 1/20
     rather than the nearest binary float.
     """
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, float):
         return Fraction(str(value))
     return Fraction(value)
@@ -440,11 +443,13 @@ def select_params(
     if protocol not in PROTOCOLS:
         raise NotationError(f"unknown protocol '{protocol}'")
     delta = as_fraction(delta)
-    if not 0 < delta <= 1:
+    num, den = delta.numerator, delta.denominator
+    if not 0 < num <= den:
         raise SelectionError(f"duty cycle must be in (0, 1], got {delta}")
     params = PROTOCOLS[protocol].select(delta, options or DEFAULT_OPTIONS)
     achieved = params.duty
-    if abs(achieved - delta) >= delta:
+    a, b = achieved.numerator, achieved.denominator
+    if abs(a * den - num * b) >= num * b:
         raise SelectionError(
             f"{protocol} cannot approximate duty cycle {delta} "
             f"(best candidate {format_params(params)} achieves {achieved})"
@@ -459,7 +464,7 @@ def select_params(
 
 def format_params(params: ProtocolParams) -> str:
     """Textual notation, e.g. ``hedis:n=40`` or ``disco:p1=37,p2=43``."""
-    body = ",".join(f"{f.name}={getattr(params, f.name)}" for f in fields(params))
+    body = ",".join(f"{name}={getattr(params, name)}" for name in params.__match_args__)
     return f"{params.name}:{body}"
 
 
@@ -475,7 +480,7 @@ def parse_params(text: str) -> ProtocolParams:
     if not sep or not rest:
         raise NotationError(f"missing parameters after '{name}:'")
     cls = PROTOCOLS[name]
-    names = [f.name for f in fields(cls)]
+    names = cls.__match_args__
     values: dict[str, int] = {}
     for token in rest.split(","):
         key, eq, val = token.partition("=")

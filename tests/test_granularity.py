@@ -1,10 +1,13 @@
 """Relative-error records, sweeps and the todis error envelope."""
 
+import random
+from dataclasses import fields
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 
+from nbrdisc import granularity
 from nbrdisc.granularity import (
     BoundDomainError,
     GranularityRecord,
@@ -13,7 +16,17 @@ from nbrdisc.granularity import (
     sweep,
     todis_error_upper_bound,
 )
-from nbrdisc.protocols import PROTOCOL_ORDER, HedisParams
+from nbrdisc.numtheory import primes_up_to
+from nbrdisc.protocols import (
+    PROTOCOL_ORDER,
+    PROTOCOLS,
+    DiscoParams,
+    HedisParams,
+    SearchlightParams,
+    SelectionOptions,
+    TodisParams,
+    UConnectParams,
+)
 
 
 def test_relative_error_examples():
@@ -199,3 +212,95 @@ def test_csv_error_rows_carry_message():
     rows = list(granularity_csv_rows(records))
     assert rows[1].count('"') == 2
     assert "error:no fit; sorry" in rows[1]
+
+
+# --------------------------------------------------------------------------
+# The integer path against a Fraction-arithmetic reference
+# --------------------------------------------------------------------------
+
+
+def _reference_record(protocol, delta, options):
+    """One sweep cell settled in Fraction arithmetic, field by field."""
+    if not 0 < delta <= 1:
+        message = f"duty cycle must be in (0, 1], got {delta}"
+        return GranularityRecord(protocol, delta, None, None, None, message)
+    params = PROTOCOLS[protocol].select(delta, options)
+    values = [getattr(params, f.name) for f in fields(params)]
+    duty = Fraction(*params.ratio(*values))
+    assert duty == params.duty
+    if abs(duty - delta) >= delta:
+        notation = ",".join(f"{f.name}={v}" for f, v in zip(fields(params), values))
+        message = (
+            f"{protocol} cannot approximate duty cycle {delta} "
+            f"(best candidate {params.name}:{notation} achieves {duty})"
+        )
+        return GranularityRecord(protocol, delta, None, None, None, message)
+    return GranularityRecord(protocol, delta, duty, abs(duty - delta) / delta, params)
+
+
+def _reference_rational(value):
+    """Rendering through ``float()`` before ``.12g``, the reference for format_rational."""
+    x = float(value)
+    if x == 0 and value:
+        with localcontext(prec=12):
+            return format(Decimal(value.numerator) / value.denominator, ".12g")
+    return f"{x:.12g}"
+
+
+def _equivalence_deltas(options):
+    """Candidate duties, midpoints of neighbouring candidates, edges, random values."""
+    primes = primes_up_to(200)
+    candidates = [
+        [DiscoParams.ratio(p, q) for p, q in zip(primes, primes[1:])],
+        [UConnectParams.ratio(p) for p in primes[1:]],
+        [SearchlightParams.ratio(t, i) for t in (2, 3) for i in range(1, 9)],
+        [HedisParams.ratio(n) for n in range(3, 80)],
+        [TodisParams.ratio(n) for n in range(5, 80, 2)],
+    ]
+    deltas = {Fraction(1), Fraction(1, 10**400), Fraction(1, 10**6), Fraction(0), Fraction(3, 2)}
+    # the 100 % edge: half the lowest duty each selector reaches
+    deltas.update(cls.select(Fraction(1, 10**9), options).duty / 2 for cls in PROTOCOLS.values())
+    for ratios in candidates:
+        duties = sorted({Fraction(a, b) for a, b in ratios})
+        deltas.update(duties)
+        deltas.update((lo + hi) / 2 for lo, hi in zip(duties, duties[1:]))
+    rng = random.Random(8)
+    deltas.update(Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6)) for _ in range(300))
+    deltas.update(Fraction(rng.randint(1, 10**4), 10**4) for _ in range(300))
+    return sorted(deltas)
+
+
+@pytest.mark.parametrize(
+    "options",
+    [SelectionOptions(), SelectionOptions(hedis_parity="odd", searchlight_t=3, todis_max_n=15)],
+    ids=["default", "odd-t3-n15"],
+)
+def test_sweep_and_csv_match_fraction_reference(options, monkeypatch):
+    deltas = _equivalence_deltas(options)
+    records = sweep(list(PROTOCOL_ORDER), deltas, options)
+    expected = [_reference_record(p, d, options) for p in PROTOCOL_ORDER for d in deltas]
+    assert records == expected
+    assert {rec.error is None for rec in records} == {True, False}
+    lines = list(granularity_csv_rows(records))
+    monkeypatch.setattr(granularity, "format_rational", _reference_rational)
+    assert lines == list(granularity_csv_rows(expected))
+
+
+def test_sweep_builds_at_most_two_fractions_per_cell(monkeypatch):
+    # a work count, not a timing bound: one achieved duty and one error per cell
+    rng = random.Random(1)
+    deltas = [Fraction(rng.randint(100, 10000), 10000) for _ in range(200)]
+    built = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(cls)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    records = sweep(list(PROTOCOL_ORDER), deltas)
+    in_sweep = len(built)
+    lines = list(granularity_csv_rows(records))
+    assert len(lines) == len(records) + 1 == 1001
+    assert in_sweep <= 2 * len(records)
+    assert len(built) == in_sweep

@@ -395,15 +395,27 @@ def test_select_exact_midpoint_tie(protocol, earlier, later, expected):
 
 
 def test_select_params_rejects_out_of_range_delta():
-    with pytest.raises(SelectionError):
-        select_params("hedis", Fraction(0))
-    with pytest.raises(SelectionError):
-        select_params("hedis", Fraction(3, 2))
+    for delta in ("0", "-1/2", "3/2"):
+        with pytest.raises(SelectionError) as exc:
+            select_params("hedis", Fraction(delta))
+        assert str(exc.value) == f"duty cycle must be in (0, 1], got {delta}"
 
 
 def test_select_params_signals_unreachable_delta():
     with pytest.raises(SelectionError):
         select_params("todis", Fraction(1, 100000))
+    # the message names the best candidate and its exact duty cycle
+    best = {
+        "disco": "disco:p1=9967,p2=9973 achieves 19939/99400891",
+        "uconnect": "uconnect:p=9973 achieves 14959/99460729",
+        "todis": "todis:n=1201 achieves 1441199/577439599",
+    }
+    for protocol, candidate in best.items():
+        with pytest.raises(SelectionError) as exc:
+            select_params(protocol, Fraction(1, 10**6))
+        assert str(exc.value) == (
+            f"{protocol} cannot approximate duty cycle 1/1000000 (best candidate {candidate})"
+        )
 
 
 def test_select_params_achieved_matches_schedule():
