@@ -78,7 +78,13 @@ def sweep(
     error message.
     """
     protocols = list(protocols)
-    ordered = sorted(as_fraction(d) for d in deltas)
+
+    def key(f: Fraction) -> tuple:
+        # exact: the floor, then the correctly rounded (so never decreasing, never
+        # overflowing) remainder quotient; only float ties compare Fractions
+        return f.numerator // f.denominator, f.numerator % f.denominator / f.denominator, f
+
+    ordered = sorted(map(as_fraction, deltas), key=key)
     if not protocols or not ordered:
         raise ValueError("sweep needs at least one protocol and one duty cycle")
     records: list[GranularityRecord] = []
@@ -99,14 +105,6 @@ def _f(x: float) -> float:
     return num / den
 
 
-# Above this duty cycle the quartic has no root with k >= 2 (the envelope's
-# natural domain edge: the quartic at k=2 equals 105*d - 81).
-_DOMAIN_SUP = Fraction(81, 105)
-# Below this duty cycle float cancellation in the quartic and in f(2k-1) - d
-# pushes the result more than 1e-6 (relative) off an exact evaluation.
-_DOMAIN_INF = Fraction(1, 10**7)
-
-
 def todis_error_upper_bound(delta) -> float:
     """Worst-case relative-error envelope for todis at duty cycle ``delta``.
 
@@ -117,13 +115,18 @@ def todis_error_upper_bound(delta) -> float:
     1e-7).
     """
     frac = as_fraction(delta)
-    if not 0 < frac < 1:
+    num, den = frac.numerator, frac.denominator
+    if not 0 < num < den:
         raise ValueError(f"duty cycle must be in (0, 1), got {frac}")
-    if frac >= _DOMAIN_SUP:
+    # At or above 81/105 the quartic has no root with k >= 2 (the envelope's
+    # natural domain edge: the quartic at k=2 equals 105*d - 81).
+    if 105 * num >= 81 * den:
         raise BoundDomainError(
             f"no admissible envelope root for duty cycle {frac} >= 81/105"
         )
-    if frac < _DOMAIN_INF:
+    # Below 1e-7 float cancellation in the quartic and in f(2k-1) - d pushes
+    # the result more than 1e-6 (relative) off an exact evaluation.
+    if 10**7 * num < den:
         raise BoundDomainError("no float-accurate envelope for duty cycles below 1e-7")
     d = float(frac)
 

@@ -32,7 +32,8 @@ import hashlib
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from functools import lru_cache
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .numtheory import lcm, solve_congruence_pair
 from .protocols import NodeConfig
@@ -166,12 +167,14 @@ def first_discovery(pair: DriftedPair, horizon: Optional[int] = None) -> Discove
 
 def _analytic_latency(
     na: Iterable[int], nb: Iterable[int]
-) -> Callable[[int], Optional[int]]:
-    """First discovery slot (or None) of a drift between divisibility schedules.
+) -> Callable[[Sequence[int]], list[Optional[int]]]:
+    """First discovery slot (or None) of each drift in a list, between divisibility schedules.
 
     Solves each cross pair (x, y) once, for drift g = gcd(x, y): the pair
     meets under drift d iff g divides d, and (d/g) times the solution for
-    g is then the solution for d, unique modulo lcm(x, y).
+    g is then the solution for d, unique modulo lcm(x, y).  Each pair fills
+    one column over the drift list (the largest modulus where it never
+    meets); the answer is the element-wise minimum of the columns.
     """
     xs, ys = set(na), set(nb)
     if not xs or not ys:
@@ -182,10 +185,18 @@ def _analytic_latency(
             g = math.gcd(x, y)
             sol = solve_congruence_pair(0, x, -g, y)
             pairs.append((g, sol.base, sol.modulus))
-    return lambda d: min(
-        (d // g * base % modulus for g, base, modulus in pairs if d % g == 0),
-        default=None,
-    )
+    never = max(modulus for _, _, modulus in pairs)
+
+    def slots(drifts: Sequence[int]) -> list[Optional[int]]:
+        cols = [
+            [d * base % modulus for d in drifts] if g == 1
+            else [d // g * base % modulus if d % g == 0 else never for d in drifts]
+            for g, base, modulus in pairs
+        ]
+        firsts = map(min, *cols) if len(cols) > 1 else cols[0]
+        return [None if t == never else t for t in firsts]
+
+    return slots
 
 
 def first_discovery_analytic(
@@ -198,7 +209,7 @@ def first_discovery_analytic(
     pairs that meet.  Agrees slot for slot with :func:`first_discovery` on
     the equivalent schedules.
     """
-    slot = _analytic_latency(na, nb)(drift)
+    slot = _analytic_latency(na, nb)([drift])[0]
     return DiscoveryResult(slot is not None, slot)
 
 
@@ -269,20 +280,30 @@ def verify_all_drifts(
 # --------------------------------------------------------------------------
 
 
+def _trial_word(seed: int, index: int) -> int:
+    """SHA-256 of ``seed:index`` as a big-endian integer: one trial's random word."""
+    return int.from_bytes(hashlib.sha256(b"%d:%d" % (seed, index)).digest(), "big")
+
+
+@lru_cache(maxsize=1)
+def _trial_words(seed: int, count: int) -> tuple[int, ...]:
+    """Words of trials 0..count-1, drawn once and shared by every protocol of a run."""
+    return tuple(_trial_word(seed, i) for i in range(count))
+
+
 def trial_drift(seed: int, index: int, bound: int) -> int:
     """Deterministic drift for one trial, uniform over [0, bound).
 
     Counter-based (SHA-256 of seed and trial index), so any subset of
-    trials can be evaluated in any order and still agree.
+    trials can be evaluated in any order and still agree.  The word is drawn
+    once per (seed, index) and shared across protocols by :func:`latency_trials`.
     """
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
-    digest = hashlib.sha256(b"%d:%d" % (seed, index)).digest()
-    return int.from_bytes(digest, "big") % bound
+    return _trial_word(seed, index) % bound
 
 
-@dataclass(frozen=True)
-class TrialResult:
+class TrialResult(NamedTuple):
     trial: int
     drift: int
     latency: Optional[int]
@@ -304,20 +325,20 @@ def latency_trials(
 ) -> LatencyDistribution:
     """Simulate ``trials`` independent drifts and collect first-discovery latencies.
 
-    Each trial draws its drift uniformly from [0, lcm(T_a, T_b)) via
-    :func:`trial_drift`, then computes the exact first discovery with
-    horizon lcm(T_a, T_b): analytically when both nodes run divisibility
-    schedules (whose hyperperiods can make a slot walk infeasible), else
-    from one walk that settles the drift classes of all trials.  Identical
-    inputs give identical output.
+    Trial i's drift is ``trial_drift(seed, i, lcm(T_a, T_b))``: its word is
+    drawn once per (seed, i), shared across protocols, and reduced by each
+    protocol's own horizon.  The exact first discovery with that horizon
+    comes analytically for two divisibility schedules (whose hyperperiods
+    can make a slot walk infeasible), else from one walk that settles the
+    drift classes of all trials.  Identical inputs give identical output.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     div_a, div_b = cfg_a.params.divisors, cfg_b.params.divisors
     horizon = lcm(cfg_a.params.period, cfg_b.params.period)
-    drifts = [trial_drift(seed, i, horizon) for i in range(trials)]
+    drifts = [w % horizon for w in _trial_words(seed, trials)]
     if div_a is not None and div_b is not None:
-        slots = list(map(_analytic_latency(div_a, div_b), drifts))
+        slots = _analytic_latency(div_a, div_b)(drifts)
     else:
         slots = _drift_slots(cfg_a.schedule, cfg_b.schedule, drifts)
     found = [t for t in slots if t is not None]
@@ -325,10 +346,9 @@ def latency_trials(
         latencies=tuple(sorted(found)),
         trial_count=trials,
         undiscovered_count=trials - len(found),
-        trials=tuple(
-            TrialResult(i, d, t, t is not None)
-            for i, (d, t) in enumerate(zip(drifts, slots))
-        ),
+        trials=tuple(map(TrialResult._make, zip(
+            range(trials), drifts, slots, [t is not None for t in slots]
+        ))),
     )
 
 
@@ -357,9 +377,8 @@ CDF_CSV_HEADER = "latency,fraction"
 def trials_csv_rows(dist: LatencyDistribution) -> Iterable[str]:
     """Yield CSV lines (header first), one row per trial."""
     yield TRIALS_CSV_HEADER
-    for tr in dist.trials:
-        latency = "" if tr.latency is None else str(tr.latency)
-        yield f"{tr.trial},{tr.drift},{latency},{int(tr.discovered)}"
+    for trial, drift, latency, discovered in dist.trials:
+        yield f"{trial},{drift},{latency},1" if discovered else f"{trial},{drift},,0"
 
 
 def cdf_csv_rows(

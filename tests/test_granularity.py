@@ -74,6 +74,21 @@ def test_envelope_domain_errors():
         todis_error_upper_bound(Fraction(9, 10))
 
 
+def test_envelope_domain_edges_are_exact():
+    tiny = Fraction(1, 10**40)
+    assert todis_error_upper_bound(Fraction(81, 105) - tiny) > 0
+    message = r"^no admissible envelope root for duty cycle 27/35 >= 81/105$"
+    with pytest.raises(BoundDomainError, match=message):
+        todis_error_upper_bound(Fraction(81, 105))
+    assert todis_error_upper_bound(Fraction(1, 10**7)) > 0
+    message = r"^no float-accurate envelope for duty cycles below 1e-7$"
+    with pytest.raises(BoundDomainError, match=message):
+        todis_error_upper_bound(Fraction(1, 10**7) - tiny)
+    for delta in (Fraction(-1, 2), Fraction(0), Fraction(1), Fraction(3, 2)):
+        with pytest.raises(ValueError, match=rf"^duty cycle must be in \(0, 1\), got {delta}$"):
+            todis_error_upper_bound(delta)
+
+
 def _envelope_reference(delta: Fraction) -> Decimal:
     """The same quartic root and envelope, in 60-digit decimal arithmetic."""
     with localcontext() as ctx:
@@ -284,6 +299,20 @@ def test_sweep_and_csv_match_fraction_reference(options, monkeypatch):
     lines = list(granularity_csv_rows(records))
     monkeypatch.setattr(granularity, "format_rational", _reference_rational)
     assert lines == list(granularity_csv_rows(expected))
+
+
+def test_sweep_orders_duty_cycles_exactly():
+    # values whose floats tie, overflow or fall below the float range
+    deltas = [
+        Fraction(1, 3), Fraction(333333333333333333, 10**18), Fraction(1, 3),
+        Fraction(1, 10**400), Fraction(2, 10**400), Fraction(0), Fraction(-1, 10**400),
+        Fraction(-1, 2), Fraction(-1, 3), Fraction(1), Fraction(10**17 + 1, 10**17),
+        Fraction(10**400), Fraction(10**400 + 1), Fraction(-(10**400)), Fraction(3, 2),
+    ]
+    assert float(deltas[0]) == float(deltas[1]) and float(deltas[3]) == float(deltas[4])
+    random.Random(3).shuffle(deltas)
+    records = sweep(["hedis"], deltas)
+    assert [rec.desired_delta for rec in records] == sorted(deltas)
 
 
 def test_sweep_builds_at_most_two_fractions_per_cell(monkeypatch):

@@ -1,13 +1,16 @@
 """Discovery engines, drift verification, latency trials and CDFs."""
 
+import hashlib
 import random
 import time
 from fractions import Fraction
 
 import pytest
 
+from nbrdisc import simulator
 from nbrdisc.numtheory import lcm, solve_congruence_pair, worst_case_bound
 from nbrdisc.protocols import (
+    PROTOCOL_ORDER,
     HedisParams,
     TodisParams,
     coprimality_schedule,
@@ -164,6 +167,28 @@ def test_latency_trials_analytic_matches_per_drift_solver(protocol):
         assert tr.drift == trial_drift(5, i, horizon)
         ref = _per_drift_analytic(na, nb, tr.drift)
         assert (tr.latency, tr.discovered) == (ref, ref is not None)
+
+
+def test_batched_analytic_matches_per_drift_solver():
+    # one call over a long drift list, against a fresh solve per drift
+    rng = random.Random(41)
+    cases = [({7}, {12}), ({6}, {4}), ({33, 35}, {75, 77}), ({1}, {9}), ({1, 4}, {6, 1})]
+    cases += [
+        ({rng.randint(1, 60) for _ in range(rng.randint(1, 4))},
+         {rng.randint(1, 60) for _ in range(rng.randint(1, 4))})
+        for _ in range(60)
+    ]
+    misses = 0
+    for na, nb in cases:
+        span = 1
+        for v in na | nb:
+            span = lcm(span, v)
+        drifts = [0, 1, -1, span, -span, 10**30 + 1, -(10**30)]
+        drifts += [rng.randint(-5 * span, 5 * span) for _ in range(300)]
+        expected = [_per_drift_analytic(na, nb, d) for d in drifts]
+        misses += expected.count(None)
+        assert simulator._analytic_latency(na, nb)(drifts) == expected, (na, nb)
+    assert misses  # the never-meeting drifts were exercised
 
 
 def test_analytic_rejects_empty_divisor_sets():
@@ -351,6 +376,30 @@ def test_trial_drift_is_deterministic_and_in_range():
     assert all(0 <= v < 1000 for v in values)
     assert len(set(values)) > 100  # spread, not constant
     assert values != [trial_drift(43, i, 1000) for i in range(200)]
+
+
+def test_latency_trials_hash_each_trial_once_across_protocols(monkeypatch):
+    # a work count, not a timing bound: one digest per trial index, shared
+    digests = []
+    sha256 = hashlib.sha256
+
+    def counting_sha256(*args, **kwargs):
+        digests.append(args)
+        return sha256(*args, **kwargs)
+
+    monkeypatch.setattr(hashlib, "sha256", counting_sha256)
+    simulator._trial_words.cache_clear()
+    seed, trials = 61, 300
+    runs = []
+    for protocol in PROTOCOL_ORDER:
+        cfg_a = select_params(protocol, Fraction(1, 10))
+        cfg_b = select_params(protocol, Fraction(1, 4))
+        horizon = lcm(cfg_a.params.period, cfg_b.params.period)
+        runs.append((protocol, horizon, latency_trials(cfg_a, cfg_b, trials, seed)))
+    assert len(digests) == trials  # not 5 * trials
+    for protocol, horizon, dist in runs:
+        drifts = [trial_drift(seed, i, horizon) for i in range(trials)]
+        assert [tr.drift for tr in dist.trials] == drifts, protocol
 
 
 def test_latency_trials_deterministic():
