@@ -17,10 +17,9 @@ todis error stays below and touches at the midpoints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .protocols import (
     ProtocolParams,
@@ -36,8 +35,7 @@ class BoundDomainError(ValueError):
     """No admissible envelope root exists for this duty cycle."""
 
 
-@dataclass(frozen=True)
-class GranularityRecord:
+class GranularityRecord(NamedTuple):
     """One sweep cell: protocol, requested duty cycle, and how close it got.
 
     ``relative_error`` is |achieved - desired| / desired, exact.  A cell
@@ -160,14 +158,18 @@ def format_rational(value) -> str:
     """Decimal rendering with 12 significant digits.
 
     A ``Fraction`` is rendered from its correctly rounded integer quotient,
-    which equals ``float(value)``.  A nonzero fraction below the float range,
-    which rounds to 0, is rendered from its exact value instead.
+    which equals ``float(value)``.  A nonzero fraction outside the float
+    range, which rounds to 0 or overflows, is rendered from its exact value
+    instead.
     """
-    x = value.numerator / value.denominator if isinstance(value, Fraction) else float(value)
-    if x == 0 and value:
-        with localcontext(prec=12):
-            return format(Decimal(value.numerator) / value.denominator, ".12g")
-    return f"{x:.12g}"
+    try:
+        x = value.numerator / value.denominator if isinstance(value, Fraction) else float(value)
+        if x or not value:
+            return f"{x:.12g}"
+    except OverflowError:
+        pass
+    with localcontext(prec=12):
+        return format(Decimal(value.numerator) / value.denominator, ".12g")
 
 
 def escape_error(message: str) -> str:

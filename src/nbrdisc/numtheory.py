@@ -15,8 +15,7 @@ a non-issue even for products of very large schedule periods.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 
 def gcd(a: int, b: int) -> int:
@@ -33,8 +32,7 @@ def lcm(a: int, b: int) -> int:
     return a // math.gcd(a, b) * b
 
 
-@dataclass(frozen=True)
-class CongruenceSolution:
+class CongruenceSolution(NamedTuple):
     """Solution class of a pair of simultaneous congruences.
 
     When ``solvable``, the full solution set is ``{base + j * modulus}``

@@ -26,13 +26,12 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Callable, ClassVar, Iterable, Optional, Sequence
 
 from .numtheory import primes_up_to
-from .schedule import Schedule
+from .schedule import Frozen, Schedule
 
 # Primes searched by the disco and uconnect selectors: keeps searched
 # periods desk-sized while comfortably covering duty cycles down to 1%.
@@ -41,6 +40,9 @@ PRIME_POOL_LIMIT = 10_000
 # Largest wake-slot count per period that build_schedule materializes; the
 # largest selectable schedule, todis n=1201, holds about 4.3 million.
 MAX_WAKE_SLOTS = 10**7
+
+# Fields of the immutable parameter values are stored once, by __init__.
+_set = object.__setattr__
 
 
 class ParameterError(ValueError):
@@ -113,32 +115,33 @@ def _closest(keys: Sequence, ratio: Callable, delta: Fraction, *, tie_to_later: 
 
 
 # --------------------------------------------------------------------------
-# Protocols: one frozen dataclass each, validated on construction
+# Protocols: one immutable value class each, validated on construction
 # --------------------------------------------------------------------------
 
 
-class ProtocolParams:
+class ProtocolParams(Frozen):
     """Base of the five parameter classes; each subclass is one protocol.
 
-    A subclass is a frozen dataclass whose fields are the protocol's
-    parameters in notation order, named by its ``__match_args__``.  It
-    provides ``name``, the ``period`` implied by its parameters, the
-    staticmethod ``ratio(*fields)`` giving its duty cycle as an integer pair
-    (numerator, denominator), ``build()`` and the classmethod
-    ``select(delta, options)``; ``duty`` is the exact duty cycle from
-    ``ratio`` (neither builds the schedule).
+    A subclass is an immutable :class:`~nbrdisc.schedule.Frozen` value
+    whose fields are the protocol's parameters in notation order, named by
+    its ``__match_args__``.  It provides ``name``, the ``period`` implied by
+    its parameters, the staticmethod ``ratio(*fields)`` giving its duty
+    cycle as an integer pair (numerator, denominator), ``build()`` and the
+    classmethod ``select(delta, options)``; ``duty`` is the exact duty cycle
+    from ``ratio`` (neither builds the schedule).
     ``divisors`` is the divisor set of a pure divisibility schedule and None
     for grid schedules (uconnect's half-row makes it one, although it
     carries a prime); ``rendezvous``, the integer set entering the
     co-primality rendezvous bound, equals ``divisors`` unless overridden.
     """
 
+    __slots__ = ()
     name: ClassVar[str]
     divisors: Optional[frozenset[int]] = None
 
     @property
     def duty(self) -> Fraction:
-        return Fraction(*self.ratio(*(getattr(self, name) for name in self.__match_args__)))
+        return Fraction(*self.ratio(*self._values()))
 
     @property
     def rendezvous(self) -> Optional[frozenset[int]]:
@@ -148,20 +151,20 @@ class ProtocolParams:
         return coprimality_schedule(self.divisors)
 
 
-@dataclass(frozen=True)
 class DiscoParams(ProtocolParams):
     """disco: wake at every multiple of two distinct primes p1, p2."""
 
+    __slots__ = __match_args__ = ("p1", "p2")
     name = "disco"
-    p1: int
-    p2: int
 
-    def __post_init__(self) -> None:
-        if self.p1 == self.p2:
-            raise ParameterError(f"disco needs distinct primes, got {self.p1} twice")
-        for p in (self.p1, self.p2):
+    def __init__(self, p1: int, p2: int) -> None:
+        if p1 == p2:
+            raise ParameterError(f"disco needs distinct primes, got {p1} twice")
+        for p in (p1, p2):
             if not _is_prime(p):
                 raise ParameterError(f"disco parameter {p} is not prime")
+        _set(self, "p1", p1)
+        _set(self, "p2", p2)
 
     @property
     def period(self) -> int:
@@ -188,7 +191,6 @@ class DiscoParams(ProtocolParams):
         return cls(primes[i], primes[i + 1])
 
 
-@dataclass(frozen=True)
 class UConnectParams(ProtocolParams):
     """uconnect: multiples of an odd prime p plus a half-row per p**2 slots.
 
@@ -196,12 +198,13 @@ class UConnectParams(ProtocolParams):
     p and counts once, so the duty cycle is (3p - 1) / (2 p**2).
     """
 
+    __slots__ = __match_args__ = ("p",)
     name = "uconnect"
-    p: int
 
-    def __post_init__(self) -> None:
-        if self.p == 2 or not _is_prime(self.p):
-            raise ParameterError(f"uconnect needs an odd prime, got {self.p}")
+    def __init__(self, p: int) -> None:
+        if p == 2 or not _is_prime(p):
+            raise ParameterError(f"uconnect needs an odd prime, got {p}")
+        _set(self, "p", p)
 
     @property
     def period(self) -> int:
@@ -225,7 +228,6 @@ class UConnectParams(ProtocolParams):
         return cls(_closest(_prime_pool()[1:], cls.ratio, delta))  # odd primes
 
 
-@dataclass(frozen=True)
 class SearchlightParams(ProtocolParams):
     """searchlight: anchors every T = t**i slots plus one striped probe each.
 
@@ -234,15 +236,16 @@ class SearchlightParams(ProtocolParams):
     need to meet a drifted neighbor.  The duty cycle is 2/T.
     """
 
+    __slots__ = __match_args__ = ("t", "i")
     name = "searchlight"
-    t: int
-    i: int
 
-    def __post_init__(self) -> None:
-        if self.t < 2:
-            raise ParameterError(f"searchlight needs t >= 2, got {self.t}")
-        if self.i < 1:
-            raise ParameterError(f"searchlight needs i >= 1, got {self.i}")
+    def __init__(self, t: int, i: int) -> None:
+        if t < 2:
+            raise ParameterError(f"searchlight needs t >= 2, got {t}")
+        if i < 1:
+            raise ParameterError(f"searchlight needs i >= 1, got {i}")
+        _set(self, "t", t)
+        _set(self, "i", i)
 
     @property
     def period(self) -> int:
@@ -267,7 +270,6 @@ class SearchlightParams(ProtocolParams):
         return cls(t, _closest(range(1, top + 2), lambda i: cls.ratio(t, i), delta))
 
 
-@dataclass(frozen=True)
 class HedisParams(ProtocolParams):
     """hedis: anchors at multiples of n, probes at (n+1)*i + 1, period n*(n-1).
 
@@ -275,12 +277,13 @@ class HedisParams(ProtocolParams):
     2*(n-1) slots are active per period: duty cycle 2/n.
     """
 
+    __slots__ = __match_args__ = ("n",)
     name = "hedis"
-    n: int
 
-    def __post_init__(self) -> None:
-        if self.n < 3:
-            raise ParameterError(f"hedis needs n >= 3, got {self.n}")
+    def __init__(self, n: int) -> None:
+        if n < 3:
+            raise ParameterError(f"hedis needs n >= 3, got {n}")
+        _set(self, "n", n)
 
     @property
     def period(self) -> int:
@@ -305,16 +308,16 @@ class HedisParams(ProtocolParams):
         return cls(_closest(range(max(hi - 2, n_min), hi + 1, 2), cls.ratio, delta))
 
 
-@dataclass(frozen=True)
 class TodisParams(ProtocolParams):
     """todis: wake at every multiple of n-2, n and n+2 (n odd), period their product."""
 
+    __slots__ = __match_args__ = ("n",)
     name = "todis"
-    n: int
 
-    def __post_init__(self) -> None:
-        if self.n < 5 or self.n % 2 == 0:
-            raise ParameterError(f"todis needs an odd n >= 5, got {self.n}")
+    def __init__(self, n: int) -> None:
+        if n < 5 or n % 2 == 0:
+            raise ParameterError(f"todis needs an odd n >= 5, got {n}")
+        _set(self, "n", n)
 
     @property
     def period(self) -> int:
@@ -368,8 +371,7 @@ def build_schedule(params: ProtocolParams) -> Schedule:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SelectionOptions:
+class SelectionOptions(Frozen):
     """Knobs for :func:`select_params`.
 
     ``hedis_parity`` is a deployment-wide setting: keeping every node's n
@@ -379,34 +381,43 @@ class SelectionOptions:
     cycles down to 1%.
     """
 
-    hedis_parity: str = "even"
-    searchlight_t: int = 2
-    todis_max_n: int = 1201
+    __slots__ = __match_args__ = ("hedis_parity", "searchlight_t", "todis_max_n")
 
-    def __post_init__(self) -> None:
-        if self.hedis_parity not in ("even", "odd"):
-            raise ValueError(f"hedis_parity must be 'even' or 'odd', got {self.hedis_parity!r}")
-        if self.searchlight_t < 2:
-            raise ValueError(f"searchlight_t must be >= 2, got {self.searchlight_t}")
-        if self.todis_max_n < 5:
-            raise ValueError(f"todis_max_n must be >= 5, got {self.todis_max_n}")
+    def __init__(
+        self, hedis_parity: str = "even", searchlight_t: int = 2, todis_max_n: int = 1201
+    ) -> None:
+        if hedis_parity not in ("even", "odd"):
+            raise ValueError(f"hedis_parity must be 'even' or 'odd', got {hedis_parity!r}")
+        if searchlight_t < 2:
+            raise ValueError(f"searchlight_t must be >= 2, got {searchlight_t}")
+        if todis_max_n < 5:
+            raise ValueError(f"todis_max_n must be >= 5, got {todis_max_n}")
+        _set(self, "hedis_parity", hedis_parity)
+        _set(self, "searchlight_t", searchlight_t)
+        _set(self, "todis_max_n", todis_max_n)
 
 
 DEFAULT_OPTIONS = SelectionOptions()
 
 
-@dataclass(eq=True)
 class NodeConfig:
     """A node's resolved configuration: requested and achieved duty cycles.
 
     The schedule is built lazily; selection sweeps over thousands of duty
     cycles would otherwise materialize multi-megaslot active sets they
-    never look at.
+    never look at.  Unlike the parameter values it is mutable.
     """
 
-    desired_delta: Fraction
-    params: ProtocolParams
-    achieved_delta: Fraction
+    __match_args__ = ("desired_delta", "params", "achieved_delta")
+    # compares and prints as a Frozen value does; an __eq__ without __hash__ is unhashable
+    _values, __eq__, __repr__ = Frozen._values, Frozen.__eq__, Frozen.__repr__
+
+    def __init__(
+        self, desired_delta: Fraction, params: ProtocolParams, achieved_delta: Fraction
+    ) -> None:
+        self.desired_delta = desired_delta
+        self.params = params
+        self.achieved_delta = achieved_delta
 
     @cached_property
     def schedule(self) -> Schedule:

@@ -13,27 +13,61 @@ never the unrolled sequence, so periods in the tens of millions stay cheap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Frozen:
+    """Immutable value whose fields are its ``__slots__``.
+
+    A subclass names its fields, in order, as ``__slots__ = __match_args__``.
+    Its ``__init__`` takes them positionally or by keyword, checks them and
+    stores each with ``object.__setattr__``.  Values compare and hash by
+    exact type plus fields, and any assignment raises :class:`AttributeError`.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash((type(self), self._values()))
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({body})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Schedule(Frozen):
     """Periodic wake-up pattern: ``period`` slots, awake on ``active``."""
 
-    period: int
-    active: frozenset[int]
+    __slots__ = __match_args__ = ("period", "active")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.period, int) or self.period < 1:
-            raise ValueError(f"period must be a positive integer, got {self.period!r}")
-        object.__setattr__(self, "active", frozenset(self.active))
-        for slot in self.active:
-            if not isinstance(slot, int) or not 0 <= slot < self.period:
-                raise ValueError(
-                    f"active slot {slot!r} outside [0, {self.period})"
-                )
+    def __init__(self, period: int, active: Iterable[int]) -> None:
+        if not isinstance(period, int) or period < 1:
+            raise ValueError(f"period must be a positive integer, got {period!r}")
+        active = frozenset(active)
+        for slot in active:
+            if not isinstance(slot, int) or not 0 <= slot < period:
+                raise ValueError(f"active slot {slot!r} outside [0, {period})")
+        object.__setattr__(self, "period", period)
+        object.__setattr__(self, "active", active)
 
 
 def make_schedule(period: int, active_slots: Iterable[int]) -> Schedule:

@@ -28,16 +28,14 @@ extraction.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .numtheory import lcm, solve_congruence_pair
 from .protocols import NodeConfig
-from .schedule import Schedule
+from .schedule import Frozen, Schedule
 
 
 class ScanBudgetError(RuntimeError):
@@ -47,26 +45,23 @@ class ScanBudgetError(RuntimeError):
 _SAMPLE_HINT = "pass --sample N (sample=N in the library) to verify a seeded subset"
 
 
-@dataclass(frozen=True)
-class DriftedPair:
+class DriftedPair(Frozen):
     """Two schedules under an integer clock drift.
 
     Drift d means node b's local slot index for global slot t is t + d;
     it is normalized into [0, lcm(T_a, T_b)).
     """
 
-    a: Schedule
-    b: Schedule
-    drift: int
+    __slots__ = __match_args__ = ("a", "b", "drift")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "drift", self.drift % lcm(self.a.period, self.b.period)
-        )
+    def __init__(self, a: Schedule, b: Schedule, drift: int) -> None:
+        drift %= lcm(a.period, b.period)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "drift", drift)
 
 
-@dataclass(frozen=True)
-class DiscoveryResult:
+class DiscoveryResult(NamedTuple):
     """First discovery slot, or not-found within the horizon."""
 
     found: bool
@@ -213,8 +208,7 @@ def first_discovery_analytic(
     return DiscoveryResult(slot is not None, slot)
 
 
-@dataclass(frozen=True)
-class DriftVerification:
+class DriftVerification(NamedTuple):
     """Outcome of verifying discovery across clock drifts."""
 
     all_discover: bool
@@ -280,15 +274,18 @@ def verify_all_drifts(
 # --------------------------------------------------------------------------
 
 
-def _trial_word(seed: int, index: int) -> int:
-    """SHA-256 of ``seed:index`` as a big-endian integer: one trial's random word."""
-    return int.from_bytes(hashlib.sha256(b"%d:%d" % (seed, index)).digest(), "big")
+def _words(seed: int, indices: Iterable[int]) -> tuple[int, ...]:
+    """SHA-256 of ``seed:index`` as a big-endian integer: each trial's random word."""
+    import hashlib  # on first use: only simulate and sampled verify draw words
+
+    sha256 = hashlib.sha256
+    return tuple(int.from_bytes(sha256(b"%d:%d" % (seed, i)).digest(), "big") for i in indices)
 
 
 @lru_cache(maxsize=1)
 def _trial_words(seed: int, count: int) -> tuple[int, ...]:
     """Words of trials 0..count-1, drawn once and shared by every protocol of a run."""
-    return tuple(_trial_word(seed, i) for i in range(count))
+    return _words(seed, range(count))
 
 
 def trial_drift(seed: int, index: int, bound: int) -> int:
@@ -300,7 +297,7 @@ def trial_drift(seed: int, index: int, bound: int) -> int:
     """
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
-    return _trial_word(seed, index) % bound
+    return _words(seed, (index,))[0] % bound
 
 
 class TrialResult(NamedTuple):
@@ -310,8 +307,7 @@ class TrialResult(NamedTuple):
     discovered: bool
 
 
-@dataclass(frozen=True)
-class LatencyDistribution:
+class LatencyDistribution(NamedTuple):
     """Per-trial discovery latencies of one simulated node pair."""
 
     latencies: tuple[int, ...]

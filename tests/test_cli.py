@@ -142,6 +142,25 @@ def test_cmd_granularity_renders_duty_cycles_below_float_range(capsys):
     ]
 
 
+def test_cmd_granularity_writes_error_row_above_float_range(capsys):
+    code = main(["granularity", "--protocols", "hedis", "--sweep", "list:1e400,0.5"])
+    assert code == 1
+    rows = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+    assert len(rows) == 3
+    assert rows[1] == 'hedis,0.5,0.5,0,"hedis:n=4",0.17646451248'
+    desired, achieved, err, cell, bound = rows[2].split(",")[1:]
+    assert [desired, achieved, err, bound] == ["1.00000000000e+400", "", "", ""]
+    assert cell.startswith('"error:duty cycle must be in (0; 1]; got 1000')
+
+
+def test_cmd_params_writes_error_row_above_float_range(capsys):
+    assert main(["params", "--protocols", "hedis", "--delta", "1e400"]) == 1
+    rows = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+    assert len(rows) == 2
+    assert rows[1].startswith('hedis,"error:duty cycle must be in (0; 1]; got 1000')
+    assert rows[1].endswith('",1.00000000000e+400,,')
+
+
 def test_cmd_granularity_error_rows_set_exit_status(tmp_path, capsys):
     out = tmp_path / "g.csv"
     code = main(

@@ -1,7 +1,6 @@
 """Relative-error records, sweeps and the todis error envelope."""
 
 import random
-from dataclasses import fields
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -240,11 +239,11 @@ def _reference_record(protocol, delta, options):
         message = f"duty cycle must be in (0, 1], got {delta}"
         return GranularityRecord(protocol, delta, None, None, None, message)
     params = PROTOCOLS[protocol].select(delta, options)
-    values = [getattr(params, f.name) for f in fields(params)]
+    values = [getattr(params, name) for name in params.__match_args__]
     duty = Fraction(*params.ratio(*values))
     assert duty == params.duty
     if abs(duty - delta) >= delta:
-        notation = ",".join(f"{f.name}={v}" for f, v in zip(fields(params), values))
+        notation = ",".join(f"{name}={v}" for name, v in zip(params.__match_args__, values))
         message = (
             f"{protocol} cannot approximate duty cycle {delta} "
             f"(best candidate {params.name}:{notation} achieves {duty})"
