@@ -17,7 +17,6 @@ todis error stays below and touches at the midpoints.
 
 from __future__ import annotations
 
-from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -26,6 +25,7 @@ from .protocols import (
     SelectionOptions,
     TodisParams,
     as_fraction,
+    decimal_text,
     format_params,
     select_params,
 )
@@ -127,21 +127,20 @@ def todis_error_upper_bound(delta) -> float:
     if 10**7 * num < den:
         raise BoundDomainError("no float-accurate envelope for duty cycles below 1e-7")
     d = float(frac)
-
-    def quartic(k: float) -> float:
-        return (((16.0 * d * k - 24.0) * k + (12.0 - 40.0 * d)) * k + 36.0) * k + 9.0 * d - 9.0
-
+    # the quartic's coefficients, each rounded as the quartic's expression
+    # rounds it; 9*d and -9 stay apart, as folding them changes the rounding
+    c4, c2, c0 = 16.0 * d, 12.0 - 40.0 * d, 9.0 * d
     # quartic(2) = 105*d - 81 < 0 on the domain, and at k = 1.5/d + 2 the two
     # leading terms sum to 32*d*k**3, so quartic(k) = k**2*(60 + 24*d) + 36*k
     # + 9*d - 9 > 0: the bracket holds the single sign change of interest.
     lo, hi = 2.0, 1.5 / d + 2.0
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if quartic(mid) < 0.0:
-            lo = mid
+        k = 0.5 * (lo + hi)
+        if (((c4 * k - 24.0) * k + c2) * k + 36.0) * k + c0 - 9.0 < 0.0:
+            lo = k
         else:
-            hi = mid
-        if hi - lo <= 1e-13 * max(1.0, hi):
+            hi = k
+        if hi - lo <= 1e-13 * hi:  # hi > 2
             break
     k = 0.5 * (lo + hi)
     return max((_f(2.0 * k - 1.0) - d) / d, 0.0)
@@ -160,7 +159,7 @@ def format_rational(value) -> str:
     A ``Fraction`` is rendered from its correctly rounded integer quotient,
     which equals ``float(value)``.  A nonzero fraction outside the float
     range, which rounds to 0 or overflows, is rendered from its exact value
-    instead.
+    instead, without trailing zeros as on the float path.
     """
     try:
         x = value.numerator / value.denominator if isinstance(value, Fraction) else float(value)
@@ -168,8 +167,7 @@ def format_rational(value) -> str:
             return f"{x:.12g}"
     except OverflowError:
         pass
-    with localcontext(prec=12):
-        return format(Decimal(value.numerator) / value.denominator, ".12g")
+    return decimal_text(value)
 
 
 def escape_error(message: str) -> str:
@@ -184,29 +182,27 @@ def granularity_csv_rows(records: Iterable[GranularityRecord]) -> Iterable[str]:
     each row's desired duty cycle (empty outside its domain).
     """
     yield GRANULARITY_CSV_HEADER
-    bound_cache: dict[tuple[int, int], str] = {}
+    # per distinct duty cycle: its text and its todis bound cell
+    shared: dict[tuple[int, int], tuple[str, str]] = {}
+    # consecutive rows of one protocol often share the chosen parameter
+    achieved = params = None
     for rec in records:
-        if rec.error is None:
-            row = [
-                rec.protocol,
-                format_rational(rec.desired_delta),
-                format_rational(rec.achieved_delta),
-                format_rational(rec.relative_error),
-                '"%s"' % format_params(rec.params),
-            ]
-        else:
-            row = [
-                rec.protocol,
-                format_rational(rec.desired_delta),
-                "",
-                "",
-                '"error:%s"' % escape_error(rec.error),
-            ]
         key = rec.desired_delta.numerator, rec.desired_delta.denominator
-        if key not in bound_cache:
+        if key not in shared:
             try:
-                bound_cache[key] = format_rational(todis_error_upper_bound(rec.desired_delta))
+                bound = format_rational(todis_error_upper_bound(rec.desired_delta))
             except ValueError:
-                bound_cache[key] = ""
-        row.append(bound_cache[key])
-        yield ",".join(row)
+                bound = ""
+            shared[key] = format_rational(rec.desired_delta), bound
+        desired, bound = shared[key]
+        if rec.error is not None:
+            yield f'{rec.protocol},{desired},,,"error:{escape_error(rec.error)}",{bound}'
+            continue
+        if rec.achieved_delta is not achieved:
+            achieved = rec.achieved_delta
+            achieved_text = format_rational(achieved)
+        if rec.params is not params:
+            params = rec.params
+            params_text = format_params(params)
+        error = format_rational(rec.relative_error)
+        yield f'{rec.protocol},{desired},{achieved_text},{error},"{params_text}",{bound}'

@@ -25,7 +25,9 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from bisect import bisect_left
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Callable, ClassVar, Iterable, Optional, Sequence
@@ -72,6 +74,26 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _fits_str(n: int) -> bool:
+    """Whether ``str(n)`` stays within Python's integer-to-string digit limit."""
+    limit = sys.get_int_max_str_digits()
+    # 2**(3*limit) < 10**limit, so the bit length settles all but huge values
+    return not limit or n.bit_length() <= 3 * limit or abs(n) < 10**limit
+
+
+def decimal_text(value: Fraction) -> str:
+    """``value`` to 12 significant digits from its exact value, no trailing zeros."""
+    with localcontext(prec=12):
+        return format((Decimal(value.numerator) / value.denominator).normalize(), ".12g")
+
+
+def _text(value: Fraction) -> str:
+    """``str(value)``, or :func:`decimal_text` where that passes the digit limit."""
+    if _fits_str(value.numerator) and _fits_str(value.denominator):
+        return str(value)
+    return decimal_text(value)
+
+
 def coprimality_schedule(divisors: Iterable[int]) -> Schedule:
     """Divisibility schedule: slot t is active iff some divisor divides t.
 
@@ -92,12 +114,21 @@ def _prime_pool() -> tuple[int, ...]:
     return tuple(primes_up_to(PRIME_POOL_LIMIT))
 
 
-def _closest(keys: Sequence, ratio: Callable, delta: Fraction, *, tie_to_later: bool = False):
+@lru_cache(maxsize=None)
+def _odd_primes() -> tuple[int, ...]:
+    return _prime_pool()[1:]
+
+
+def _closest(
+    keys: Sequence, ratio: Callable, delta: Fraction, start: int = 0, *, tie_to_later: bool = False
+):
     """The key whose duty cycle ``ratio(key)`` lies closest to ``delta``.
 
-    ``keys`` must be ordered by strictly falling duty.  Bisects the first key
-    at or below ``delta`` and compares it with the key before it, exactly and
-    in integers; a tie goes to the earlier key unless ``tie_to_later``.
+    ``keys`` must be ordered by strictly falling duty.  Gallops outward from
+    ``keys[start]`` (clamped into range) to bracket the first key at or below
+    ``delta``, bisects inside the bracket and compares that key with the one
+    before it, exactly and in integers; a tie goes to the earlier key unless
+    ``tie_to_later``.
     """
     num, den = delta.numerator, delta.denominator
 
@@ -105,13 +136,38 @@ def _closest(keys: Sequence, ratio: Callable, delta: Fraction, *, tie_to_later: 
         a, b = ratio(key)
         return a * den <= num * b
 
-    i = bisect_left(keys, True, key=at_or_below)
-    if i == 0 or i == len(keys):
-        return keys[min(i, len(keys) - 1)]
+    n, step = len(keys), 1
+    lo = hi = min(max(start, 0), n - 1)
+    # widen until keys[lo] lies above delta (or lo is -1) and keys[hi] at or below (or hi is n)
+    if at_or_below(keys[hi]):
+        lo = hi - 1
+        while lo >= 0 and at_or_below(keys[lo]):
+            hi, step = lo, 2 * step
+            lo = max(hi - step, -1)
+    else:
+        hi = lo + 1
+        while hi < n and not at_or_below(keys[hi]):
+            lo, step = hi, 2 * step
+            hi = min(lo + step, n)
+    i = bisect_left(keys, True, lo + 1, hi, key=at_or_below)
+    if i == 0 or i == n:
+        return keys[min(i, n - 1)]
     (a0, b0), (a1, b1) = ratio(keys[i - 1]), ratio(keys[i])
     # both errors scaled by den * b0 * b1 > 0
     above, below = (a0 * den - num * b0) * b1, (num * b1 - a1 * den) * b0
     return keys[i] if below < above or (below == above and tie_to_later) else keys[i - 1]
+
+
+# bounded, yet above the 3,055 candidates of the disco, uconnect and todis pools
+@lru_cache(maxsize=4096)
+def _chosen(cls: type[ProtocolParams], values: tuple) -> tuple[ProtocolParams, Fraction]:
+    """The parameter value with field ``values`` and its exact duty cycle, built once."""
+    if not all(map(_fits_str, values)):
+        raise SelectionError(
+            f"{cls.name} needs a parameter of more than {sys.get_int_max_str_digits()} "
+            "digits, beyond the integer string limit"
+        )
+    return cls(*values), Fraction(*cls.ratio(*values))
 
 
 # --------------------------------------------------------------------------
@@ -127,8 +183,10 @@ class ProtocolParams(Frozen):
     its ``__match_args__``.  It provides ``name``, the ``period`` implied by
     its parameters, the staticmethod ``ratio(*fields)`` giving its duty
     cycle as an integer pair (numerator, denominator), ``build()`` and the
-    classmethod ``select(delta, options)``; ``duty`` is the exact duty cycle
-    from ``ratio`` (neither builds the schedule).
+    classmethod ``pick(delta, options)`` giving the field values whose duty
+    cycle lies closest to ``delta``; ``select(delta, options)`` returns them
+    as a parameter value.  ``duty`` is the exact duty cycle from ``ratio``
+    (neither builds the schedule).
     ``divisors`` is the divisor set of a pure divisibility schedule and None
     for grid schedules (uconnect's half-row makes it one, although it
     carries a prime); ``rendezvous``, the integer set entering the
@@ -142,6 +200,10 @@ class ProtocolParams(Frozen):
     @property
     def duty(self) -> Fraction:
         return Fraction(*self.ratio(*self._values()))
+
+    @classmethod
+    def select(cls, delta: Fraction, options: SelectionOptions) -> ProtocolParams:
+        return _chosen(cls, cls.pick(delta, options))[0]
 
     @property
     def rendezvous(self) -> Optional[frozenset[int]]:
@@ -179,16 +241,16 @@ class DiscoParams(ProtocolParams):
         return frozenset({self.p1, self.p2})
 
     @classmethod
-    def select(cls, delta: Fraction, options: SelectionOptions) -> DiscoParams:
+    def pick(cls, delta: Fraction, options: SelectionOptions) -> tuple[int, int]:
         # disco runs balanced: each node pairs a prime with the next one, so
         # the achieved duty cycle is roughly 2/p1 and the granularity is
         # limited by the prime gaps.  Ties go to the larger pair.
         primes = _prime_pool()
         i = _closest(
             range(len(primes) - 1), lambda i: cls.ratio(primes[i], primes[i + 1]), delta,
-            tie_to_later=True,
+            bisect_left(primes, 2 * delta.denominator // delta.numerator), tie_to_later=True,
         )
-        return cls(primes[i], primes[i + 1])
+        return primes[i], primes[i + 1]
 
 
 class UConnectParams(ProtocolParams):
@@ -224,8 +286,11 @@ class UConnectParams(ProtocolParams):
         return Schedule(self.period, frozenset(active))
 
     @classmethod
-    def select(cls, delta: Fraction, options: SelectionOptions) -> UConnectParams:
-        return cls(_closest(_prime_pool()[1:], cls.ratio, delta))  # odd primes
+    def pick(cls, delta: Fraction, options: SelectionOptions) -> tuple[int]:
+        # the duty cycle is roughly 3/(2p)
+        primes = _odd_primes()
+        start = bisect_left(primes, 3 * delta.denominator // (2 * delta.numerator))
+        return (_closest(primes, cls.ratio, delta, start),)
 
 
 class SearchlightParams(ProtocolParams):
@@ -264,10 +329,13 @@ class SearchlightParams(ProtocolParams):
         return Schedule(self.period, frozenset(anchors).union(probes))
 
     @classmethod
-    def select(cls, delta: Fraction, options: SelectionOptions) -> SearchlightParams:
-        # t**i >= 2**i > 2/delta once i reaches the bit length of 2/delta
+    def pick(cls, delta: Fraction, options: SelectionOptions) -> tuple[int, int]:
+        # t**i >= 2**i > 2/delta once i reaches the bit length of 2/delta;
+        # the closest i is near log_t(2/delta) ~ top / log2(t), and
+        # t.bit_length() - 1 stands in for log2(t)
         t, top = options.searchlight_t, (2 * delta.denominator // delta.numerator).bit_length()
-        return cls(t, _closest(range(1, top + 2), lambda i: cls.ratio(t, i), delta))
+        start = (top - 1) // (t.bit_length() - 1)
+        return t, _closest(range(1, top + 2), lambda i: cls.ratio(t, i), delta, start)
 
 
 class HedisParams(ProtocolParams):
@@ -299,13 +367,13 @@ class HedisParams(ProtocolParams):
         return Schedule(self.period, frozenset(anchors).union(probes))
 
     @classmethod
-    def select(cls, delta: Fraction, options: SelectionOptions) -> HedisParams:
+    def pick(cls, delta: Fraction, options: SelectionOptions) -> tuple[int]:
         rem = 0 if options.hedis_parity == "even" else 1
         n_min = 4 - rem
         # the smallest parity-matching n >= n_min with 2/n <= delta, and the one before
         raw = -(-2 * delta.denominator // delta.numerator)
         hi = max(raw + (raw - rem) % 2, n_min)
-        return cls(_closest(range(max(hi - 2, n_min), hi + 1, 2), cls.ratio, delta))
+        return (_closest(range(max(hi - 2, n_min), hi + 1, 2), cls.ratio, delta),)
 
 
 class TodisParams(ProtocolParams):
@@ -333,8 +401,10 @@ class TodisParams(ProtocolParams):
         return frozenset({self.n - 2, self.n, self.n + 2})
 
     @classmethod
-    def select(cls, delta: Fraction, options: SelectionOptions) -> TodisParams:
-        return cls(_closest(range(5, options.todis_max_n + 1, 2), cls.ratio, delta))
+    def pick(cls, delta: Fraction, options: SelectionOptions) -> tuple[int]:
+        # the duty cycle is roughly 3/n
+        start = (3 * delta.denominator // delta.numerator - 5) // 2
+        return (_closest(range(5, options.todis_max_n + 1, 2), cls.ratio, delta, start),)
 
 
 PROTOCOLS: dict[str, type[ProtocolParams]] = {
@@ -360,7 +430,7 @@ def build_schedule(params: ProtocolParams) -> Schedule:
     slots = params.duty * params.period
     if slots > MAX_WAKE_SLOTS:
         raise ParameterError(
-            f"{format_params(params)} has {slots} wake slots per period, "
+            f"{format_params(params)} has {_text(slots)} wake slots per period, "
             f"above the build cap of {MAX_WAKE_SLOTS}"
         )
     return params.build()
@@ -449,21 +519,22 @@ def select_params(
     cycle) for uconnect, searchlight, hedis and todis, and to the larger
     consecutive-prime pair (the lower duty cycle) for disco.
     Raises :class:`SelectionError` when even the best candidate misses the
-    target by 100% or more.
+    target by 100% or more, or needs more digits than Python's integer
+    string limit allows.
     """
     if protocol not in PROTOCOLS:
         raise NotationError(f"unknown protocol '{protocol}'")
     delta = as_fraction(delta)
     num, den = delta.numerator, delta.denominator
     if not 0 < num <= den:
-        raise SelectionError(f"duty cycle must be in (0, 1], got {delta}")
-    params = PROTOCOLS[protocol].select(delta, options or DEFAULT_OPTIONS)
-    achieved = params.duty
+        raise SelectionError(f"duty cycle must be in (0, 1], got {_text(delta)}")
+    cls = PROTOCOLS[protocol]
+    params, achieved = _chosen(cls, cls.pick(delta, options or DEFAULT_OPTIONS))
     a, b = achieved.numerator, achieved.denominator
     if abs(a * den - num * b) >= num * b:
         raise SelectionError(
-            f"{protocol} cannot approximate duty cycle {delta} "
-            f"(best candidate {format_params(params)} achieves {achieved})"
+            f"{protocol} cannot approximate duty cycle {_text(delta)} "
+            f"(best candidate {format_params(params)} achieves {_text(achieved)})"
         )
     return NodeConfig(delta, params, achieved)
 

@@ -1,12 +1,13 @@
 """CLI behavior: notation, sweep grammar, output metadata and determinism."""
 
+import sys
 from fractions import Fraction
 
 import pytest
 
 from nbrdisc import cli
 from nbrdisc.cli import main, parse_delta, parse_protocols, parse_sweep
-from nbrdisc.protocols import NotationError, SearchlightParams, TodisParams
+from nbrdisc.protocols import PROTOCOL_ORDER, NotationError, SearchlightParams, TodisParams
 
 
 def test_parse_delta_forms():
@@ -149,7 +150,7 @@ def test_cmd_granularity_writes_error_row_above_float_range(capsys):
     assert len(rows) == 3
     assert rows[1] == 'hedis,0.5,0.5,0,"hedis:n=4",0.17646451248'
     desired, achieved, err, cell, bound = rows[2].split(",")[1:]
-    assert [desired, achieved, err, bound] == ["1.00000000000e+400", "", "", ""]
+    assert [desired, achieved, err, bound] == ["1e+400", "", "", ""]
     assert cell.startswith('"error:duty cycle must be in (0; 1]; got 1000')
 
 
@@ -158,7 +159,31 @@ def test_cmd_params_writes_error_row_above_float_range(capsys):
     rows = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
     assert len(rows) == 2
     assert rows[1].startswith('hedis,"error:duty cycle must be in (0; 1]; got 1000')
-    assert rows[1].endswith('",1.00000000000e+400,,')
+    assert rows[1].endswith('",1e+400,,')
+
+
+@pytest.fixture
+def digit_limit():
+    """Python's default integer-to-string limit, whatever the environment set."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(saved)
+
+
+def test_cmd_granularity_writes_error_row_beyond_digit_limit(capsys, digit_limit):
+    # hedis would need n = 2 * 10**5000, which str() refuses to print
+    assert main(["granularity", "--protocols", "hedis", "--sweep", "list:1e-5000"]) == 1
+    rows = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+    message = f"hedis needs a parameter of more than {digit_limit} digits; beyond the integer"
+    assert rows[1:] == [f'hedis,1e-5000,,,"error:{message} string limit",']
+
+
+def test_cmd_params_writes_range_error_beyond_digit_limit(capsys, digit_limit):
+    assert main(["params", "--protocols", "all", "--delta", "1e5000"]) == 1
+    rows = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+    cells = '"error:duty cycle must be in (0; 1]; got 1e+5000",1e+5000,,'
+    assert rows[1:] == [f"{protocol},{cells}" for protocol in PROTOCOL_ORDER]
 
 
 def test_cmd_granularity_error_rows_set_exit_status(tmp_path, capsys):

@@ -1,12 +1,13 @@
 """Relative-error records, sweeps and the todis error envelope."""
 
 import random
+from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 
-from nbrdisc import granularity
+from nbrdisc import granularity, protocols
 from nbrdisc.granularity import (
     BoundDomainError,
     GranularityRecord,
@@ -25,6 +26,7 @@ from nbrdisc.protocols import (
     SelectionOptions,
     TodisParams,
     UConnectParams,
+    select_params,
 )
 
 
@@ -117,6 +119,58 @@ def test_envelope_matches_exact_quartic_down_to_float_edge():
     for delta in (Fraction(99, 10**9), Fraction(1, 10**200), Fraction(1, 10**400)):
         with pytest.raises(BoundDomainError):
             todis_error_upper_bound(delta)
+
+
+# float.hex of the envelope on a log grid from the 1e-7 domain edge to 0.77.
+# Any change in the order of the bisection's float operations shows here,
+# where the 1e-6 tolerance of the decimal reference above would let it pass.
+ENVELOPE_BITS = [
+    (1, 10000000, "0x1.1e54b83c33f00p-25"),
+    (1, 5000000, "0x1.1e54c1ebc1900p-24"),
+    (3, 10000000, "0x1.ad7f29c5ee800p-24"),
+    (1, 2000000, "0x1.65e9f7822ec00p-23"),
+    (7, 10000000, "0x1.f5145ddd40e93p-23"),
+    (1, 1000000, "0x1.65e9f938df700p-22"),
+    (1, 500000, "0x1.65e9f7ae0d380p-21"),
+    (3, 1000000, "0x1.0c6f7a19ccc80p-20"),
+    (1, 200000, "0x1.bf6475cd8a2ffp-20"),
+    (7, 1000000, "0x1.392cb935f1180p-19"),
+    (1, 100000, "0x1.bf647628545ffp-19"),
+    (1, 50000, "0x1.bf6475fdcbb3fp-18"),
+    (3, 100000, "0x1.4f8b588e5a455p-17"),
+    (1, 20000, "0x1.179ec9d047940p-16"),
+    (7, 100000, "0x1.8777e7526c06ep-16"),
+    (1, 10000, "0x1.179ec9ce72d40p-15"),
+    (1, 5000, "0x1.179ec9dff7b10p-14"),
+    (3, 10000, "0x1.a36e2ef6d24d6p-14"),
+    (1, 2000, "0x1.5d867ce2ac3c0p-13"),
+    (7, 10000, "0x1.e955e2e3fedd2p-13"),
+    (1, 1000, "0x1.5d867ecc26e00p-12"),
+    (1, 500, "0x1.5d8686776ef90p-11"),
+    (3, 1000, "0x1.0624ee778d4d5p-10"),
+    (1, 200, "0x1.b4e86ba3b8080p-10"),
+    (7, 1000, "0x1.31d61b5ed90b9p-9"),
+    (1, 100, "0x1.b4e95fd718110p-9"),
+    (1, 50, "0x1.b4ed473057268p-8"),
+    (3, 100, "0x1.47b6fa50bbe43p-7"),
+    (1, 20, "0x1.112676da13a68p-6"),
+    (7, 100, "0x1.7e8809ee24304p-6"),
+    (1, 10, "0x1.116edfdfce708p-5"),
+    (1, 7, "0x1.873f154677ad8p-5"),
+    (1, 5, "0x1.12cd6ecb5733ap-4"),
+    (3, 10, "0x1.a06a9c4b60b28p-4"),
+    (1, 3, "0x1.d0e7f3a05f28cp-4"),
+    (1, 2, "0x1.696639f00c0e0p-3"),
+    (19, 35, "0x1.8d38dad6d3036p-3"),
+    (7, 10, "0x1.0d590accf38bdp-2"),
+    (3, 4, "0x1.2520aca3a4a08p-2"),
+    (77, 100, "0x1.2eb89e76108fdp-2"),
+]
+
+
+def test_envelope_bits_are_pinned():
+    for num, den, bits in ENVELOPE_BITS:
+        assert float.hex(todis_error_upper_bound(Fraction(num, den))) == bits, (num, den)
 
 
 def test_envelope_dominates_measured_error():
@@ -253,11 +307,19 @@ def _reference_record(protocol, delta, options):
 
 
 def _reference_rational(value):
-    """Rendering through ``float()`` before ``.12g``, the reference for format_rational."""
+    """Rendering through ``float()`` before ``.12g``, the reference for format_rational.
+
+    Below the float range the 12-digit decimal quotient is rendered instead,
+    with the trailing zeros of its mantissa dropped as ``.12g`` drops them.
+    """
     x = float(value)
     if x == 0 and value:
         with localcontext(prec=12):
-            return format(Decimal(value.numerator) / value.denominator, ".12g")
+            text = format(Decimal(value.numerator) / value.denominator, ".12g")
+        mantissa, e, exponent = text.partition("e")
+        if "." in mantissa:
+            mantissa = mantissa.rstrip("0").rstrip(".")
+        return mantissa + e + exponent
     return f"{x:.12g}"
 
 
@@ -314,21 +376,55 @@ def test_sweep_orders_duty_cycles_exactly():
     assert [rec.desired_delta for rec in records] == sorted(deltas)
 
 
-def test_sweep_builds_at_most_two_fractions_per_cell(monkeypatch):
-    # a work count, not a timing bound: one achieved duty and one error per cell
+def test_sweep_work_counts(monkeypatch):
+    # work counts, not timing bounds, over a seeded 1,000-duty five-protocol sweep
     rng = random.Random(1)
-    deltas = [Fraction(rng.randint(100, 10000), 10000) for _ in range(200)]
-    built = []
+    deltas = [Fraction(rng.randint(100, 10000), 10000) for _ in range(1000)]
+    protocols._chosen.cache_clear()
+    constructed, fractions, ratios, per_cell = Counter(), [0], [0], []
+
+    def counting_init(init):
+        def counting(self, *values):
+            constructed[type(self), values] += 1
+            init(self, *values)
+
+        return counting
+
+    def counting_ratio(ratio):
+        def counting(*values):
+            ratios[0] += 1
+            return ratio(*values)
+
+        return staticmethod(counting)
+
+    for cls in PROTOCOLS.values():
+        monkeypatch.setattr(cls, "__init__", counting_init(cls.__init__))
+        monkeypatch.setattr(cls, "ratio", counting_ratio(cls.ratio))
     new = Fraction.__new__
 
     def counting_new(cls, *args, **kwargs):
-        built.append(cls)
+        fractions[0] += 1
         return new(cls, *args, **kwargs)
 
+    def counting_select(*args):
+        before = ratios[0]
+        try:
+            return select_params(*args)
+        finally:
+            per_cell.append(ratios[0] - before)
+
     monkeypatch.setattr(Fraction, "__new__", counting_new)
+    monkeypatch.setattr(granularity, "select_params", counting_select)
     records = sweep(list(PROTOCOL_ORDER), deltas)
-    in_sweep = len(built)
+    in_sweep = fractions[0]
     lines = list(granularity_csv_rows(records))
-    assert len(lines) == len(records) + 1 == 1001
-    assert in_sweep <= 2 * len(records)
-    assert len(built) == in_sweep
+    assert len(lines) == len(records) + 1 == 5001
+    assert all(rec.error is None for rec in records)
+    # each distinct chosen parameter is built and validated once
+    assert max(constructed.values()) == 1
+    assert len({rec.params for rec in records}) == len(constructed)
+    # a closed-form start leaves a few duty evaluations per cell
+    assert len(per_cell) == len(records) and max(per_cell) <= 8
+    # one relative error per cell, one achieved duty per distinct parameter
+    assert in_sweep <= len(records) + len(constructed)
+    assert fractions[0] == in_sweep

@@ -1,12 +1,16 @@
 """Schedule generators, closed-form duty cycles and parameter selection."""
 
+import bisect
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from nbrdisc.numtheory import lcm, worst_case_bound
+from nbrdisc.numtheory import lcm, primes_up_to, worst_case_bound
 from nbrdisc.protocols import (
+    PRIME_POOL_LIMIT,
+    PROTOCOLS,
     DiscoParams,
     HedisParams,
     NotationError,
@@ -392,6 +396,74 @@ def test_select_exact_midpoint_tie(protocol, earlier, later, expected):
     # to the smaller parameter (the searchlight tie is pinned above)
     delta = (earlier.duty + later.duty) / 2
     assert select_params(protocol, delta).params == expected
+
+
+def _candidate_pools(options):
+    """Each protocol's candidate field values, from the parameter ranges the
+    selection docs state: consecutive prime pairs and odd primes below
+    PRIME_POOL_LIMIT, and odd todis n up to ``todis_max_n``.  hedis and
+    searchlight have unbounded pools; their listed prefix supplies the test
+    duty cycles, and the reference widens them per duty cycle."""
+    primes = primes_up_to(PRIME_POOL_LIMIT)
+    n_min = 4 if options.hedis_parity == "even" else 3
+    return {
+        "disco": list(zip(primes, primes[1:])),
+        "uconnect": [(p,) for p in primes[1:]],
+        "searchlight": [(options.searchlight_t, i) for i in range(1, 30)],
+        "hedis": [(n,) for n in range(n_min, 400, 2)],
+        "todis": [(n,) for n in range(5, options.todis_max_n + 1, 2)],
+    }
+
+
+def _reference_pick(protocol, delta, options, ascending):
+    """The field values closest to ``delta``, by exact comparison of every
+    candidate that can be closest.
+
+    ``ascending`` is a bounded pool as (duty, values) sorted by exact duty,
+    so only the two candidates bracketing ``delta`` can be closest.  Of the
+    unbounded pools, every searchlight i up to the bit length of 2/delta + 1
+    is tried (t**i beyond it only moves further below delta), and every
+    hedis n of the right parity within 4 of 2/delta.  A tie goes to the
+    higher duty cycle, except for disco, where it goes to the lower.
+    """
+    cls = PROTOCOLS[protocol]
+    if protocol == "searchlight":
+        top = (2 * delta.denominator // delta.numerator).bit_length()
+        candidates = [(options.searchlight_t, i) for i in range(1, top + 2)]
+    elif protocol == "hedis":
+        c, n_min = 2 * delta.denominator // delta.numerator, 4 - (options.hedis_parity == "odd")
+        candidates = [(n,) for n in range(max(c - 4, n_min), c + 5) if n % 2 == n_min % 2]
+    else:
+        j = bisect.bisect_left(ascending, delta, key=lambda item: item[0])
+        candidates = [values for _, values in ascending[max(j - 1, 0) : j + 1]]
+
+    def rank(values):
+        duty = Fraction(*cls.ratio(*values))
+        return abs(duty - delta), duty if protocol == "disco" else -duty
+
+    return min(candidates, key=rank)
+
+
+@pytest.mark.parametrize(
+    "options",
+    [SelectionOptions(), SelectionOptions(hedis_parity="odd", searchlight_t=3, todis_max_n=15)],
+    ids=["default", "odd-t3-n15"],
+)
+def test_selection_matches_exhaustive_reference(options):
+    rng = random.Random(4)
+    seeded = [Fraction(rng.randint(1, 10_000), 10_000) for _ in range(1000)]
+    tiny = Fraction(1, 10**30)
+    for protocol, pool in _candidate_pools(options).items():
+        cls = PROTOCOLS[protocol]
+        ascending = sorted((Fraction(*cls.ratio(*values)), values) for values in pool)
+        duties = [duty for duty, _ in ascending]
+        assert all(lo < hi for lo, hi in zip(duties, duties[1:]))  # no two candidates tie
+        mids = [(lo + hi) / 2 for lo, hi in zip(duties, duties[1:])]
+        deltas = [*duties, *mids, *(m - tiny for m in mids), *(m + tiny for m in mids)]
+        deltas += [Fraction(1, 10**400), Fraction(1), *seeded]
+        for delta in deltas:
+            expected = _reference_pick(protocol, delta, options, ascending)
+            assert cls.select(delta, options)._values() == expected, (protocol, delta)
 
 
 def test_select_params_rejects_out_of_range_delta():
