@@ -27,10 +27,10 @@ import math
 import re
 import sys
 from bisect import bisect_left
-from decimal import Decimal, localcontext
+from decimal import Context, Decimal
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from typing import Callable, ClassVar, Iterable, Optional, Sequence
+from functools import lru_cache
+from typing import Callable, ClassVar, Iterable, NamedTuple, Optional, Sequence
 
 from .numtheory import primes_up_to
 from .schedule import Frozen, Schedule
@@ -82,9 +82,19 @@ def _fits_str(n: int) -> bool:
 
 
 def decimal_text(value: Fraction) -> str:
-    """``value`` to 12 significant digits from its exact value, no trailing zeros."""
-    with localcontext(prec=12):
-        return format((Decimal(value.numerator) / value.denominator).normalize(), ".12g")
+    """``value`` to 12 significant digits from its exact value, no trailing zeros.
+
+    Linear in the size of ``value``: integer division cuts the quotient to
+    15-17 digits, and a last, sticky digit is 1 when it left a remainder, so
+    rounding those digits to 12 rounds the exact value.
+    """
+    n, d = abs(value.numerator), value.denominator
+    # log10(n/d) lies within one bit of this estimate, so q gets 16 digits give or take one
+    k = 15 - (n.bit_length() - d.bit_length()) * 30103 // 100000
+    q, r = divmod(n * 10**k, d) if k >= 0 else divmod(n, d * 10**-k)
+    ctx = Context(prec=12)
+    quotient = Decimal(10 * q + (r != 0)).scaleb(-k - 1, ctx)
+    return ("-" if value < 0 else "") + format(quotient.normalize(ctx), ".12g")
 
 
 def _text(value: Fraction) -> str:
@@ -184,9 +194,8 @@ class ProtocolParams(Frozen):
     its parameters, the staticmethod ``ratio(*fields)`` giving its duty
     cycle as an integer pair (numerator, denominator), ``build()`` and the
     classmethod ``pick(delta, options)`` giving the field values whose duty
-    cycle lies closest to ``delta``; ``select(delta, options)`` returns them
-    as a parameter value.  ``duty`` is the exact duty cycle from ``ratio``
-    (neither builds the schedule).
+    cycle lies closest to ``delta``.  ``duty`` is the exact duty cycle from
+    ``ratio`` (neither builds the schedule).
     ``divisors`` is the divisor set of a pure divisibility schedule and None
     for grid schedules (uconnect's half-row makes it one, although it
     carries a prime); ``rendezvous``, the integer set entering the
@@ -200,10 +209,6 @@ class ProtocolParams(Frozen):
     @property
     def duty(self) -> Fraction:
         return Fraction(*self.ratio(*self._values()))
-
-    @classmethod
-    def select(cls, delta: Fraction, options: SelectionOptions) -> ProtocolParams:
-        return _chosen(cls, cls.pick(delta, options))[0]
 
     @property
     def rendezvous(self) -> Optional[frozenset[int]]:
@@ -470,26 +475,19 @@ class SelectionOptions(Frozen):
 DEFAULT_OPTIONS = SelectionOptions()
 
 
-class NodeConfig:
+class NodeConfig(NamedTuple):
     """A node's resolved configuration: requested and achieved duty cycles.
 
-    The schedule is built lazily; selection sweeps over thousands of duty
-    cycles would otherwise materialize multi-megaslot active sets they
-    never look at.  Unlike the parameter values it is mutable.
+    The schedule is built each time it is read; selection sweeps over
+    thousands of duty cycles would otherwise materialize multi-megaslot
+    active sets they never look at.
     """
 
-    __match_args__ = ("desired_delta", "params", "achieved_delta")
-    # compares and prints as a Frozen value does; an __eq__ without __hash__ is unhashable
-    _values, __eq__, __repr__ = Frozen._values, Frozen.__eq__, Frozen.__repr__
+    desired_delta: Fraction
+    params: ProtocolParams
+    achieved_delta: Fraction
 
-    def __init__(
-        self, desired_delta: Fraction, params: ProtocolParams, achieved_delta: Fraction
-    ) -> None:
-        self.desired_delta = desired_delta
-        self.params = params
-        self.achieved_delta = achieved_delta
-
-    @cached_property
+    @property
     def schedule(self) -> Schedule:
         return build_schedule(self.params)
 

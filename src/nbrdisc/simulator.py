@@ -300,20 +300,24 @@ def trial_drift(seed: int, index: int, bound: int) -> int:
     return _words(seed, (index,))[0] % bound
 
 
-class TrialResult(NamedTuple):
-    trial: int
-    drift: int
-    latency: Optional[int]
-    discovered: bool
-
-
 class LatencyDistribution(NamedTuple):
-    """Per-trial discovery latencies of one simulated node pair."""
+    """Per-trial discovery latencies of one simulated node pair, as columns.
 
+    Trial i ran under drift ``drifts[i]`` and first met at ``slots[i]``, None
+    when it never met; ``latencies`` holds the slots that met, sorted.
+    """
+
+    drifts: tuple[int, ...]
+    slots: tuple[Optional[int], ...]
     latencies: tuple[int, ...]
-    trial_count: int
-    undiscovered_count: int
-    trials: tuple[TrialResult, ...]
+
+    @property
+    def trial_count(self) -> int:
+        return len(self.slots)
+
+    @property
+    def undiscovered_count(self) -> int:
+        return len(self.slots) - len(self.latencies)
 
 
 def latency_trials(
@@ -337,15 +341,8 @@ def latency_trials(
         slots = _analytic_latency(div_a, div_b)(drifts)
     else:
         slots = _drift_slots(cfg_a.schedule, cfg_b.schedule, drifts)
-    found = [t for t in slots if t is not None]
-    return LatencyDistribution(
-        latencies=tuple(sorted(found)),
-        trial_count=trials,
-        undiscovered_count=trials - len(found),
-        trials=tuple(map(TrialResult._make, zip(
-            range(trials), drifts, slots, [t is not None for t in slots]
-        ))),
-    )
+    latencies = sorted(t for t in slots if t is not None)
+    return LatencyDistribution(tuple(drifts), tuple(slots), tuple(latencies))
 
 
 def cdf(
@@ -373,8 +370,8 @@ CDF_CSV_HEADER = "latency,fraction"
 def trials_csv_rows(dist: LatencyDistribution) -> Iterable[str]:
     """Yield CSV lines (header first), one row per trial."""
     yield TRIALS_CSV_HEADER
-    for trial, drift, latency, discovered in dist.trials:
-        yield f"{trial},{drift},{latency},1" if discovered else f"{trial},{drift},,0"
+    for trial, (drift, slot) in enumerate(zip(dist.drifts, dist.slots)):
+        yield f"{trial},{drift},,0" if slot is None else f"{trial},{drift},{slot},1"
 
 
 def cdf_csv_rows(

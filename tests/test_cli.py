@@ -180,10 +180,11 @@ def test_cmd_granularity_writes_error_row_beyond_digit_limit(capsys, digit_limit
 
 
 def test_cmd_params_writes_range_error_beyond_digit_limit(capsys, digit_limit):
-    assert main(["params", "--protocols", "all", "--delta", "1e5000"]) == 1
-    rows = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
-    cells = '"error:duty cycle must be in (0; 1]; got 1e+5000",1e+5000,,'
-    assert rows[1:] == [f"{protocol},{cells}" for protocol in PROTOCOL_ORDER]
+    for exponent in (5000, 100000):
+        assert main(["params", "--protocols", "all", "--delta", f"1e{exponent}"]) == 1
+        rows = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+        cells = f'"error:duty cycle must be in (0; 1]; got 1e+{exponent}",1e+{exponent},,'
+        assert rows[1:] == [f"{protocol},{cells}" for protocol in PROTOCOL_ORDER]
 
 
 def test_cmd_granularity_error_rows_set_exit_status(tmp_path, capsys):

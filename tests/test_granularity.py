@@ -292,7 +292,8 @@ def _reference_record(protocol, delta, options):
     if not 0 < delta <= 1:
         message = f"duty cycle must be in (0, 1], got {delta}"
         return GranularityRecord(protocol, delta, None, None, None, message)
-    params = PROTOCOLS[protocol].select(delta, options)
+    cls = PROTOCOLS[protocol]
+    params = cls(*cls.pick(delta, options))
     values = [getattr(params, name) for name in params.__match_args__]
     duty = Fraction(*params.ratio(*values))
     assert duty == params.duty
@@ -335,7 +336,9 @@ def _equivalence_deltas(options):
     ]
     deltas = {Fraction(1), Fraction(1, 10**400), Fraction(1, 10**6), Fraction(0), Fraction(3, 2)}
     # the 100 % edge: half the lowest duty each selector reaches
-    deltas.update(cls.select(Fraction(1, 10**9), options).duty / 2 for cls in PROTOCOLS.values())
+    deltas.update(
+        cls(*cls.pick(Fraction(1, 10**9), options)).duty / 2 for cls in PROTOCOLS.values()
+    )
     for ratios in candidates:
         duties = sorted({Fraction(a, b) for a, b in ratios})
         deltas.update(duties)

@@ -3,10 +3,12 @@
 import bisect
 import itertools
 import random
+from decimal import Context, Decimal
 from fractions import Fraction
 
 import pytest
 
+from nbrdisc import protocols
 from nbrdisc.numtheory import lcm, primes_up_to, worst_case_bound
 from nbrdisc.protocols import (
     PRIME_POOL_LIMIT,
@@ -293,7 +295,9 @@ def test_todis_discovery_bounded_across_parameter_grid():
     # All odd pairs in [5, 41]^2: exhaustive drifts while the joint
     # hyperperiod is small, a seeded drift sample beyond that (full
     # exhaustion over hyperperiods in the millions is not desk-scale).
-    from nbrdisc.simulator import first_discovery_analytic, trial_drift
+    # One batched analytic call per pair; test_simulator.py checks the
+    # batched engine against the per-drift first_discovery_analytic.
+    from nbrdisc.simulator import _analytic_latency, trial_drift
 
     odd = range(5, 42, 2)
     for n in odd:
@@ -308,10 +312,9 @@ def test_todis_discovery_bounded_across_parameter_grid():
             if horizon <= 20_000:
                 drifts = range(horizon)
             else:
-                drifts = (trial_drift(5 * n + m, i, horizon) for i in range(120))
-            for d in drifts:
-                res = first_discovery_analytic(na, nb, d)
-                assert res.found and res.slot <= bound
+                drifts = [trial_drift(5 * n + m, i, horizon) for i in range(120)]
+            for d, slot in zip(drifts, _analytic_latency(na, nb)(drifts), strict=True):
+                assert slot is not None and slot <= bound, (n, m, d)
 
 
 # --------------------------------------------------------------------------
@@ -463,7 +466,7 @@ def test_selection_matches_exhaustive_reference(options):
         deltas += [Fraction(1, 10**400), Fraction(1), *seeded]
         for delta in deltas:
             expected = _reference_pick(protocol, delta, options, ascending)
-            assert cls.select(delta, options)._values() == expected, (protocol, delta)
+            assert cls(*cls.pick(delta, options))._values() == expected, (protocol, delta)
 
 
 def test_select_params_rejects_out_of_range_delta():
@@ -499,6 +502,43 @@ def test_select_params_achieved_matches_schedule():
 
 def test_float_delta_means_decimal():
     assert select_params("hedis", 0.05).params == HedisParams(40)
+
+
+# --------------------------------------------------------------------------
+# Exact decimal text
+# --------------------------------------------------------------------------
+
+
+def test_decimal_text_matches_decimal_division():
+    rng = random.Random(6)
+    ctx = Context(prec=12)
+    values = [Fraction(rng.randint(-10**40, 10**40), rng.randint(1, 10**40)) for _ in range(500)]
+    for _ in range(500):
+        # exactly halfway between two 12-digit values, and 1e-30 of a unit either side
+        half = Fraction(2 * rng.randint(10**11, 10**12 - 1) + 1, 2)
+        half *= Fraction(10) ** rng.randint(-400, 400)
+        for nudge in (0, Fraction(1, 10**30), Fraction(-1, 10**30)):
+            v = half * (1 + nudge)
+            values += [v, -v]
+    values += [Fraction(0), Fraction(1), Fraction(10**12 - 1), Fraction(10**100), Fraction(1, 3)]
+    for v in values:
+        quotient = ctx.divide(Decimal(v.numerator), Decimal(v.denominator))
+        assert protocols.decimal_text(v) == format(quotient.normalize(ctx), ".12g"), v
+
+
+def test_decimal_text_hands_decimal_few_digits(monkeypatch):
+    # a work count: converting a 100,001-digit integer to Decimal is quadratic
+    bits = []
+
+    def recording_decimal(value):
+        bits.append(abs(value).bit_length())
+        return Decimal(value)
+
+    monkeypatch.setattr(protocols, "Decimal", recording_decimal)
+    assert protocols.decimal_text(Fraction(10**100000)) == "1e+100000"
+    assert protocols.decimal_text(Fraction(-1, 3 * 10**100000)) == "-3.33333333333e-100001"
+    assert protocols.decimal_text(Fraction(2**400000 + 1, 7)) == "1.42287763285e+120411"
+    assert bits and max(bits) <= 64, bits
 
 
 # --------------------------------------------------------------------------

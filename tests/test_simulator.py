@@ -23,7 +23,6 @@ from nbrdisc.simulator import (
     DriftVerification,
     LatencyDistribution,
     ScanBudgetError,
-    TrialResult,
     cdf,
     cdf_csv_rows,
     first_discovery,
@@ -162,11 +161,10 @@ def test_latency_trials_analytic_matches_per_drift_solver(protocol):
     na, nb = cfg_a.params.divisors, cfg_b.params.divisors
     horizon = lcm(cfg_a.schedule.period, cfg_b.schedule.period)
     dist = latency_trials(cfg_a, cfg_b, 500, seed=5)
-    assert len(dist.trials) == 500
-    for i, tr in enumerate(dist.trials):
-        assert tr.drift == trial_drift(5, i, horizon)
-        ref = _per_drift_analytic(na, nb, tr.drift)
-        assert (tr.latency, tr.discovered) == (ref, ref is not None)
+    assert len(dist.drifts) == len(dist.slots) == 500
+    for i, (drift, slot) in enumerate(zip(dist.drifts, dist.slots)):
+        assert drift == trial_drift(5, i, horizon)
+        assert slot == _per_drift_analytic(na, nb, drift)
 
 
 def test_batched_analytic_matches_per_drift_solver():
@@ -343,10 +341,10 @@ def test_latency_trials_class_table_matches_first_discovery(protocol):
     sched_a, sched_b = cfg_a.schedule, cfg_b.schedule
     trials = sched_b.period + 50  # more classes than b's wake slots: the crossing walk
     dist = latency_trials(cfg_a, cfg_b, trials, seed=5)
-    assert len(dist.trials) == trials
-    for tr in dist.trials:
-        res = first_discovery(DriftedPair(sched_a, sched_b, tr.drift))
-        assert (res.found, res.slot) == (tr.discovered, tr.latency)
+    assert len(dist.drifts) == len(dist.slots) == trials
+    for drift, slot in zip(dist.drifts, dist.slots):
+        res = first_discovery(DriftedPair(sched_a, sched_b, drift))
+        assert (res.found, res.slot) == (slot is not None, slot)
 
 
 def test_todis_exhaustive_drifts_within_bound():
@@ -399,7 +397,7 @@ def test_latency_trials_hash_each_trial_once_across_protocols(monkeypatch):
     assert len(digests) == trials  # not 5 * trials
     for protocol, horizon, dist in runs:
         drifts = [trial_drift(seed, i, horizon) for i in range(trials)]
-        assert [tr.drift for tr in dist.trials] == drifts, protocol
+        assert list(dist.drifts) == drifts, protocol
 
 
 def test_latency_trials_deterministic():
@@ -428,13 +426,13 @@ def test_latency_trials_analytic_agrees_with_scan():
     cfg_a = select_params("disco", Fraction(1, 5))
     cfg_b = select_params("todis", Fraction(1, 5))
     dist = latency_trials(cfg_a, cfg_b, 25, seed=11)
-    horizon = lcm(cfg_a.schedule.period, cfg_b.schedule.period)
-    for tr in dist.trials:
-        scan = first_discovery(
-            DriftedPair(cfg_a.schedule, cfg_b.schedule, tr.drift), horizon
-        )
-        assert scan.found == tr.discovered
-        assert scan.slot == tr.latency
+    sched_a, sched_b = cfg_a.schedule, cfg_b.schedule
+    horizon = lcm(sched_a.period, sched_b.period)
+    assert len(dist.drifts) == len(dist.slots) == 25
+    for drift, slot in zip(dist.drifts, dist.slots):
+        scan = first_discovery(DriftedPair(sched_a, sched_b, drift), horizon)
+        assert scan.found == (slot is not None)
+        assert scan.slot == slot
 
 
 def test_mixed_protocol_latencies_respect_bound():
@@ -454,25 +452,22 @@ def test_mixed_protocol_latencies_respect_bound():
 
 
 def test_cdf_basic():
-    dist = LatencyDistribution((5, 5, 5, 5), 4, 0, ())
+    dist = LatencyDistribution((0, 1, 2, 3), (5, 5, 5, 5), (5, 5, 5, 5))
     assert cdf(dist, [5]) == [(5, 1.0)]
 
-    dist = LatencyDistribution((1, 2, 3, 4), 4, 0, ())
+    dist = LatencyDistribution((0, 1, 2, 3), (4, 2, 1, 3), (1, 2, 3, 4))
     assert cdf(dist, [2]) == [(2, 0.5)]
     assert cdf(dist, [0, 4]) == [(0, 0.0), (4, 1.0)]
 
 
 def test_cdf_counts_undiscovered_in_denominator():
-    dist = LatencyDistribution((1, 2), 4, 2, ())
+    dist = LatencyDistribution((0, 1, 2, 3), (2, None, 1, None), (1, 2))
+    assert (dist.trial_count, dist.undiscovered_count) == (4, 2)
     assert cdf(dist, [100])[0][1] == 0.5
 
 
 def test_csv_rows():
-    trials = (
-        TrialResult(0, 5, 12, True),
-        TrialResult(1, 9, None, False),
-    )
-    dist = LatencyDistribution((12,), 2, 1, trials)
+    dist = LatencyDistribution((5, 9), (12, None), (12,))
     rows = list(trials_csv_rows(dist))
     assert rows == ["trial,drift,latency,discovered", "0,5,12,1", "1,9,,0"]
     rows = list(cdf_csv_rows(dist))

@@ -20,6 +20,7 @@ from nbrdisc.protocols import (
     SelectionOptions,
     TodisParams,
     UConnectParams,
+    build_schedule,
 )
 from nbrdisc.schedule import Schedule, make_schedule
 from nbrdisc.simulator import DiscoveryResult, DriftedPair
@@ -100,14 +101,14 @@ def test_equality_and_hash_follow_type_and_fields():
     assert len({DiscoParams(3, 5), DiscoParams(p1=3, p2=5), DiscoParams(5, 3)}) == 2
 
 
-def test_node_config_is_mutable_and_unhashable():
+def test_node_config_is_an_immutable_hashable_record():
     cfg = NodeConfig(Fraction(1, 20), HedisParams(40), Fraction(1, 20))
     assert cfg == NodeConfig(Fraction(1, 20), HedisParams(40), Fraction(1, 20))
-    with pytest.raises(TypeError):
-        hash(cfg)
-    assert cfg.schedule is cfg.schedule  # built once
-    cfg.achieved_delta = Fraction(1, 21)
-    assert cfg.achieved_delta == Fraction(1, 21)
+    assert hash(cfg) == hash(NodeConfig(Fraction(1, 20), HedisParams(n=40), Fraction(1, 20)))
+    assert cfg._fields == ("desired_delta", "params", "achieved_delta")
+    with pytest.raises(AttributeError):
+        cfg.achieved_delta = Fraction(1, 21)
+    assert cfg.schedule == build_schedule(cfg.params)
 
 
 def test_congruence_solution_truth_is_solvability():
