@@ -190,6 +190,8 @@ def cmd_simulate(args: argparse.Namespace, argv: Sequence[str]) -> int:
     delta_a = parse_delta(args.delta_a)
     delta_b = parse_delta(args.delta_b)
     options = _options_from(args)
+    if args.trials < 1:
+        raise ValueError(f"trials must be >= 1, got {args.trials}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     status = 0
@@ -210,7 +212,11 @@ def cmd_simulate(args: argparse.Namespace, argv: Sequence[str]) -> int:
         bound = ""
         if set_a is not None and set_b is not None:
             value = worst_case_bound(set_a, set_b)
-            bound = " bound=unbounded" if value is None else f" bound={value}"
+            if value is not None:
+                bound = f" bound={value}"
+            elif cfg_a.params.divisors is not None and cfg_b.params.divisors is not None:
+                # a proof only for divisibility pairs: uconnect's half-row still meets
+                bound = " bound=unbounded"
         peak = max(dist.latencies) if dist.latencies else ""
         print(
             f"{protocol}: node_a={format_params(cfg_a.params)} "

@@ -476,20 +476,11 @@ DEFAULT_OPTIONS = SelectionOptions()
 
 
 class NodeConfig(NamedTuple):
-    """A node's resolved configuration: requested and achieved duty cycles.
-
-    The schedule is built each time it is read; selection sweeps over
-    thousands of duty cycles would otherwise materialize multi-megaslot
-    active sets they never look at.
-    """
+    """A node's resolved configuration: requested and achieved duty cycles."""
 
     desired_delta: Fraction
     params: ProtocolParams
     achieved_delta: Fraction
-
-    @property
-    def schedule(self) -> Schedule:
-        return build_schedule(self.params)
 
 
 def as_fraction(value) -> Fraction:

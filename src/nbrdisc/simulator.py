@@ -33,8 +33,8 @@ from bisect import bisect_right
 from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
+from . import protocols
 from .numtheory import lcm, solve_congruence_pair
-from .protocols import NodeConfig
 from .schedule import Frozen, Schedule
 
 
@@ -321,7 +321,7 @@ class LatencyDistribution(NamedTuple):
 
 
 def latency_trials(
-    cfg_a: NodeConfig, cfg_b: NodeConfig, trials: int, seed: int
+    cfg_a: protocols.NodeConfig, cfg_b: protocols.NodeConfig, trials: int, seed: int
 ) -> LatencyDistribution:
     """Simulate ``trials`` independent drifts and collect first-discovery latencies.
 
@@ -340,7 +340,8 @@ def latency_trials(
     if div_a is not None and div_b is not None:
         slots = _analytic_latency(div_a, div_b)(drifts)
     else:
-        slots = _drift_slots(cfg_a.schedule, cfg_b.schedule, drifts)
+        build = protocols.build_schedule  # via the module: the traced replay rebinds it
+        slots = _drift_slots(build(cfg_a.params), build(cfg_b.params), drifts)
     latencies = sorted(t for t in slots if t is not None)
     return LatencyDistribution(tuple(drifts), tuple(slots), tuple(latencies))
 
@@ -374,16 +375,9 @@ def trials_csv_rows(dist: LatencyDistribution) -> Iterable[str]:
         yield f"{trial},{drift},,0" if slot is None else f"{trial},{drift},{slot},1"
 
 
-def cdf_csv_rows(
-    dist: LatencyDistribution, points: Optional[Sequence[int]] = None
-) -> Iterable[str]:
-    """Yield CSV lines (header first) of the latency CDF.
-
-    Default evaluation points are the observed latencies, giving the full
-    step function.
-    """
-    if points is None:
-        points = sorted(set(dist.latencies))
+def cdf_csv_rows(dist: LatencyDistribution) -> Iterable[str]:
+    """Yield CSV lines (header first) of the latency CDF at each observed
+    latency, giving the full step function."""
     yield CDF_CSV_HEADER
-    for latency, fraction in cdf(dist, points):
+    for latency, fraction in cdf(dist, sorted(set(dist.latencies))):
         yield f"{latency},{fraction:.10g}"

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from nbrdisc import cli
+from nbrdisc import cli, protocols
 from nbrdisc.cli import main, parse_delta, parse_protocols, parse_sweep
 from nbrdisc.protocols import PROTOCOL_ORDER, NotationError, SearchlightParams, TodisParams
 
@@ -388,6 +388,46 @@ def test_cmd_simulate_reports_oversize_schedule_in_row(tmp_path, monkeypatch, ca
     assert len(lines) == 2
     assert lines[0].startswith("searchlight: error:searchlight:t=20000000;i=1 has 20000000 wake")
     assert lines[1].startswith("hedis: node_a=hedis:n=40")
+
+
+def test_cmd_simulate_prints_no_bound_for_equal_uconnect_primes(tmp_path, capsys):
+    # co-primality proves nothing about uconnect's half-row: 29 and 29 still meet
+    argv = ["simulate", "--protocols", "uconnect", "--delta-a", "5%", "--delta-b", "5%",
+            "--trials", "100", "--out", str(tmp_path / "sim")]
+    assert main(argv) == 0
+    line = capsys.readouterr().out.strip()
+    assert line.startswith("uconnect: node_a=uconnect:p=29")
+    assert "undiscovered=0" in line
+    assert "bound=" not in line
+    assert main([*argv[:4], "1%", *argv[5:]]) == 0
+    assert capsys.readouterr().out.strip().endswith(" bound=4321")
+
+
+def test_cmd_simulate_builds_each_grid_schedule_once(tmp_path, monkeypatch, capsys):
+    # a work count, not a timing bound; disco and todis take the analytic path
+    built = []
+    build = protocols.build_schedule
+
+    def counting_build(params):
+        built.append(params.name)
+        return build(params)
+
+    monkeypatch.setattr(protocols, "build_schedule", counting_build)
+    assert main(["simulate", "--protocols", "all", "--delta-a", "1%", "--delta-b", "5%",
+                 "--trials", "2", "--out", str(tmp_path / "sim")]) == 0
+    assert sorted(built) == ["hedis"] * 2 + ["searchlight"] * 2 + ["uconnect"] * 2
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_cmd_simulate_rejects_trial_count_before_writing(trials, tmp_path, capsys):
+    out_dir = tmp_path / "sim"
+    argv = ["simulate", "--protocols", "hedis", "--delta-a", "5%", "--delta-b", "5%",
+            "--trials", trials, "--out", str(out_dir)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"trials must be >= 1, got {trials}" in captured.err
+    assert not out_dir.exists()
 
 
 def test_cmd_schedule_rejects_negative_limit(capsys):

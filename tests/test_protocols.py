@@ -22,6 +22,7 @@ from nbrdisc.protocols import (
     SelectionOptions,
     TodisParams,
     UConnectParams,
+    build_schedule,
     coprimality_schedule,
     format_params,
     parse_params,
@@ -496,8 +497,9 @@ def test_select_params_signals_unreachable_delta():
 def test_select_params_achieved_matches_schedule():
     for protocol in ("hedis", "todis", "disco", "uconnect", "searchlight"):
         cfg = select_params(protocol, Fraction(1, 10))
-        assert duty_cycle(cfg.schedule) == cfg.achieved_delta
-        assert cfg.schedule.period == cfg.params.period
+        schedule = build_schedule(cfg.params)
+        assert duty_cycle(schedule) == cfg.achieved_delta
+        assert schedule.period == cfg.params.period
 
 
 def test_float_delta_means_decimal():

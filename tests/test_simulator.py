@@ -7,12 +7,16 @@ from fractions import Fraction
 
 import pytest
 
-from nbrdisc import simulator
-from nbrdisc.numtheory import lcm, solve_congruence_pair, worst_case_bound
+from nbrdisc import protocols, simulator
+from nbrdisc.numtheory import lcm, primes_up_to, solve_congruence_pair, worst_case_bound
 from nbrdisc.protocols import (
     PROTOCOL_ORDER,
+    DiscoParams,
     HedisParams,
+    SearchlightParams,
     TodisParams,
+    UConnectParams,
+    build_schedule,
     coprimality_schedule,
     select_params,
 )
@@ -159,7 +163,7 @@ def test_latency_trials_analytic_matches_per_drift_solver(protocol):
     cfg_a = select_params(protocol, Fraction(1, 100))
     cfg_b = select_params(protocol, Fraction(5, 100))
     na, nb = cfg_a.params.divisors, cfg_b.params.divisors
-    horizon = lcm(cfg_a.schedule.period, cfg_b.schedule.period)
+    horizon = lcm(cfg_a.params.period, cfg_b.params.period)
     dist = latency_trials(cfg_a, cfg_b, 500, seed=5)
     assert len(dist.drifts) == len(dist.slots) == 500
     for i, (drift, slot) in enumerate(zip(dist.drifts, dist.slots)):
@@ -338,7 +342,7 @@ def test_verify_all_drifts_matches_slot_by_slot_reference():
 def test_latency_trials_class_table_matches_first_discovery(protocol):
     cfg_a = select_params(protocol, Fraction(1, 10))
     cfg_b = select_params(protocol, Fraction(1, 4))
-    sched_a, sched_b = cfg_a.schedule, cfg_b.schedule
+    sched_a, sched_b = build_schedule(cfg_a.params), build_schedule(cfg_b.params)
     trials = sched_b.period + 50  # more classes than b's wake slots: the crossing walk
     dist = latency_trials(cfg_a, cfg_b, trials, seed=5)
     assert len(dist.drifts) == len(dist.slots) == trials
@@ -366,6 +370,56 @@ def test_hedis_same_parity_exhaustive_guarantee():
         result = verify_all_drifts(HedisParams(n).build(), HedisParams(m).build())
         assert result.all_discover, (n, m)
         assert result.mean_latency <= 4 * n * m, (n, m)
+
+
+def test_uconnect_exhaustive_guarantee():
+    primes = [p for p in primes_up_to(41) if p > 2]
+    pairs = [(p, q) for p in primes for q in primes if p <= q]
+    assert len(pairs) == 78
+    schedules = {p: UConnectParams(p).build() for p in primes}
+    for p, q in pairs:
+        result = verify_all_drifts(schedules[p], schedules[q])
+        assert result.exhaustive and result.all_discover, (p, q)
+        if p < q:
+            assert result.max_latency <= worst_case_bound({p}, {q}), (p, q)
+        else:
+            # equal primes share no co-prime pair; the half-row meets by p*(p-1)
+            assert result.max_latency == p * (p - 1), p
+
+
+def test_disco_exhaustive_drifts_within_bound():
+    primes = primes_up_to(41)
+    configs = [DiscoParams(p1, p2) for p1, p2 in zip(primes, primes[1:])]
+    pairs = [(a, b) for i, a in enumerate(configs) for b in configs[i:]]
+    assert len(pairs) == 78
+    for a, b in pairs:
+        result = verify_all_drifts(a.build(), b.build())
+        assert result.exhaustive and result.all_discover, (a, b)
+        assert result.max_latency <= worst_case_bound(a.divisors, b.divisors), (a, b)
+
+
+def test_searchlight_exhaustive_coverage():
+    schedules = {i: SearchlightParams(2, i).build() for i in range(1, 8)}
+    pairs = [(i, j) for i in schedules for j in schedules if i <= j]
+    assert len(pairs) == 28
+    for i, j in pairs:
+        result = verify_all_drifts(schedules[i], schedules[j])
+        assert result.exhaustive and result.all_discover, (i, j)
+
+
+def test_latency_trials_builds_each_grid_schedule_once(monkeypatch):
+    # a work count, not a timing bound: reading a config builds nothing
+    built = []
+    build = protocols.build_schedule
+
+    def counting_build(params):
+        built.append(params)
+        return build(params)
+
+    monkeypatch.setattr(protocols, "build_schedule", counting_build)
+    cfg = select_params("hedis", Fraction(1, 100))
+    latency_trials(cfg, cfg, 100, 1)
+    assert built == [cfg.params, cfg.params]
 
 
 def test_trial_drift_is_deterministic_and_in_range():
@@ -426,7 +480,7 @@ def test_latency_trials_analytic_agrees_with_scan():
     cfg_a = select_params("disco", Fraction(1, 5))
     cfg_b = select_params("todis", Fraction(1, 5))
     dist = latency_trials(cfg_a, cfg_b, 25, seed=11)
-    sched_a, sched_b = cfg_a.schedule, cfg_b.schedule
+    sched_a, sched_b = build_schedule(cfg_a.params), build_schedule(cfg_b.params)
     horizon = lcm(sched_a.period, sched_b.period)
     assert len(dist.drifts) == len(dist.slots) == 25
     for drift, slot in zip(dist.drifts, dist.slots):
