@@ -59,10 +59,23 @@ def relative_error(
     """Select the best parameter for ``delta`` and report the exact error."""
     delta = as_fraction(delta)
     cfg = select_params(protocol, delta, options)
+    return _record(protocol, delta, cfg.achieved_delta, cfg.params)
+
+
+def _record(protocol: str, delta: Fraction, achieved: Fraction, params) -> GranularityRecord:
+    """The record of ``delta`` settled by ``params``, its error exact and in integers."""
     num, den = delta.numerator, delta.denominator
-    a, b = cfg.achieved_delta.numerator, cfg.achieved_delta.denominator
+    a, b = achieved.numerator, achieved.denominator
     err = Fraction(abs(a * den - num * b), num * b)
-    return GranularityRecord(protocol, delta, cfg.achieved_delta, err, cfg.params)
+    return GranularityRecord(protocol, delta, achieved, err, params)
+
+
+def _cell(protocol: str, delta: Fraction, options) -> GranularityRecord:
+    """:func:`relative_error`, or the in-row record of its error."""
+    try:
+        return relative_error(protocol, delta, options)
+    except ValueError as exc:
+        return GranularityRecord(protocol, delta, None, None, None, str(exc))
 
 
 def sweep(
@@ -74,6 +87,11 @@ def sweep(
 
     A failing cell never aborts the sweep; it is recorded in-row with its
     error message.
+
+    Each protocol's column is settled by bisection over cell indices.  It
+    relies on selection, and its checks, being monotone in the duty cycle:
+    the cells between two that succeed with equal parameters take their
+    records from that parameter unselected.  No cell is selected twice.
     """
     protocols = list(protocols)
 
@@ -86,14 +104,23 @@ def sweep(
     if not protocols or not ordered:
         raise ValueError("sweep needs at least one protocol and one duty cycle")
     records: list[GranularityRecord] = []
+    last = len(ordered) - 1
     for protocol in protocols:
-        for delta in ordered:
-            try:
-                records.append(relative_error(protocol, delta, options))
-            except ValueError as exc:
-                records.append(
-                    GranularityRecord(protocol, delta, None, None, None, str(exc))
-                )
+        column: list = [None] * len(ordered)
+        for i in {0, last}:
+            column[i] = _cell(protocol, ordered[i], options)
+        ranges = [(0, last)]
+        while ranges:
+            i, j = ranges.pop()
+            lo, hi = column[i], column[j]
+            if lo.error is None and lo.params == hi.params:  # so hi.error is None
+                for k in range(i + 1, j):
+                    column[k] = _record(protocol, ordered[k], lo.achieved_delta, lo.params)
+            elif j - i > 1:
+                m = (i + j) // 2
+                column[m] = _cell(protocol, ordered[m], options)
+                ranges += (i, m), (m, j)
+        records += column
     return records
 
 

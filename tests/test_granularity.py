@@ -365,6 +365,82 @@ def test_sweep_and_csv_match_fraction_reference(options, monkeypatch):
     assert lines == list(granularity_csv_rows(expected))
 
 
+@pytest.mark.parametrize(
+    "options",
+    [SelectionOptions(), SelectionOptions(hedis_parity="odd", searchlight_t=3, todis_max_n=15)],
+    ids=["default", "odd-t3-n15"],
+)
+def test_pick_is_monotone_in_the_duty_cycle(options):
+    # what lets sweep fill the cells between two equal selections unselected
+    deltas = [d for d in _equivalence_deltas(options) if 0 < d <= 1]
+    for cls in PROTOCOLS.values():
+        duties = [Fraction(*cls.ratio(*cls.pick(d, options))) for d in deltas]
+        assert duties == sorted(duties), cls.name
+
+
+def _per_cell(protocol, delta):
+    """One sweep cell settled on its own: its record, or the in-row error record."""
+    try:
+        return relative_error(protocol, delta)
+    except ValueError as exc:
+        return GranularityRecord(protocol, delta, None, None, None, str(exc))
+
+
+def _counting_sweep(protocols, deltas):
+    """``sweep(protocols, deltas)`` and the number of selections it made."""
+    calls = []
+
+    def counting_select(*args):
+        calls.append(args)
+        return select_params(*args)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(granularity, "select_params", counting_select)
+        records = sweep(protocols, deltas)
+    return records, len(calls)
+
+
+# the duty cycles the default selection can choose, a few dozen per protocol
+DEFAULT_CANDIDATES = {
+    "disco": [DiscoParams.ratio(p, q) for p, q in zip(primes_up_to(200), primes_up_to(200)[1:])],
+    "uconnect": [UConnectParams.ratio(p) for p in primes_up_to(200)[1:]],
+    "searchlight": [SearchlightParams.ratio(2, i) for i in range(1, 12)],
+    "hedis": [HedisParams.ratio(n) for n in range(4, 80, 2)],
+    "todis": [TodisParams.ratio(n) for n in range(5, 80, 2)],
+}
+
+
+def test_sweep_selects_every_cell_when_all_choices_differ():
+    # the worst case: every cell chooses a parameter of its own
+    for protocol, ratios in DEFAULT_CANDIDATES.items():
+        deltas = [Fraction(a, b) for a, b in ratios]
+        records, calls = _counting_sweep([protocol], deltas)
+        assert records == [_per_cell(protocol, d) for d in sorted(deltas)]
+        assert calls == len(records) == len({rec.params for rec in records}), protocol
+
+
+def test_sweep_fill_matches_per_cell_records():
+    duties = {Fraction(a, b) for ratios in DEFAULT_CANDIDATES.values() for a, b in ratios}
+    errors = [
+        Fraction(0), Fraction(-1, 2), Fraction(3, 2), Fraction(1, 10**400),
+        Fraction(1, 10**5000),  # hedis: n beyond the integer string limit
+        Fraction(1, 100000), Fraction(1, 1000),  # todis: n=1201 misses by 100 % or more
+    ]
+    # todis chooses n=1201 at 1/100000, 1/1000, 1/600 and 1/500, and meets it
+    # within 100 % only at the last two: error cells inside a would-be run
+    deltas = 2 * [*duties, *errors, Fraction(1, 600), Fraction(1, 500)]
+    random.Random(5).shuffle(deltas)
+    records, calls = _counting_sweep(list(PROTOCOL_ORDER), deltas)
+    ordered = sorted(deltas)
+    assert records == [_per_cell(p, d) for p in PROTOCOL_ORDER for d in ordered]
+    assert calls < len(records)
+    todis = {rec.desired_delta: rec for rec in records if rec.protocol == "todis"}
+    assert todis[Fraction(1, 1000)].error and todis[Fraction(1, 600)].params == TodisParams(1201)
+    hedis = {rec.desired_delta: rec for rec in records if rec.protocol == "hedis"}
+    assert "integer string limit" in hedis[Fraction(1, 10**5000)].error
+    assert hedis[Fraction(1, 10**400)].params == HedisParams(2 * 10**400)
+
+
 def test_sweep_orders_duty_cycles_exactly():
     # values whose floats tie, overflow or fall below the float range
     deltas = [
@@ -426,8 +502,9 @@ def test_sweep_work_counts(monkeypatch):
     # each distinct chosen parameter is built and validated once
     assert max(constructed.values()) == 1
     assert len({rec.params for rec in records}) == len(constructed)
-    # a closed-form start leaves a few duty evaluations per cell
-    assert len(per_cell) == len(records) and max(per_cell) <= 8
+    # bisection selects about one cell in ten, and a closed-form start
+    # leaves a few duty evaluations per selection
+    assert len(per_cell) <= 600 and max(per_cell) <= 8
     # one relative error per cell, one achieved duty per distinct parameter
     assert in_sweep <= len(records) + len(constructed)
     assert fractions[0] == in_sweep

@@ -372,6 +372,17 @@ def test_hedis_same_parity_exhaustive_guarantee():
         assert result.mean_latency <= 4 * n * m, (n, m)
 
 
+def test_hedis_mixed_parity_exhaustive_discovery():
+    # the parity rule is not what makes these meet: every mixed pair does,
+    # in either order, as a swap only negates the drift
+    schedules = {n: HedisParams(n).build() for n in range(3, 41)}
+    pairs = [(n, m) for n in schedules for m in schedules if n < m and n % 2 != m % 2]
+    assert len(pairs) == 361
+    for n, m in pairs:
+        result = verify_all_drifts(schedules[n], schedules[m])
+        assert result.exhaustive and result.all_discover, (n, m)
+
+
 def test_uconnect_exhaustive_guarantee():
     primes = [p for p in primes_up_to(41) if p > 2]
     pairs = [(p, q) for p in primes for q in primes if p <= q]

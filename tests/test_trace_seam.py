@@ -10,13 +10,14 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _traced_span_names(tmp_path, argv):
-    """Replay ``nbrdisc <argv>`` traced; return the names of the spans recorded."""
+def _traced_span_counts(tmp_path, argv):
+    """Replay ``nbrdisc <argv>`` traced; return how many spans of each name it recorded."""
     result = tmp_path / "seam.result.json"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -31,7 +32,7 @@ def _traced_span_names(tmp_path, argv):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(result.read_text())["rc"] == 0
     spans = (tmp_path / "seam.spans.jsonl").read_text().splitlines()
-    return {json.loads(line)[1] for line in spans}
+    return Counter(json.loads(line)[1] for line in spans)
 
 
 def test_traced_replay_records_each_layer(tmp_path):
@@ -41,7 +42,7 @@ def test_traced_replay_records_each_layer(tmp_path):
         "protocols.build_schedule",
         "simulator.latency_trials",
         "numtheory.solve_congruence_pair",
-    } <= _traced_span_names(tmp_path, argv)
+    } <= _traced_span_counts(tmp_path, argv).keys()
 
 
 def test_traced_replay_records_granularity_selection(tmp_path):
@@ -50,9 +51,15 @@ def test_traced_replay_records_granularity_selection(tmp_path):
         "protocols.select_params",
         "granularity.sweep",
         "granularity.todis_error_upper_bound",
-    } <= _traced_span_names(tmp_path, argv)
+    } <= _traced_span_counts(tmp_path, argv).keys()
 
 
 def test_traced_replay_records_sampled_verify(tmp_path):
     argv = ["verify", "todis:n=201", "todis:n=61", "--sample", "2"]
-    assert "simulator.verify_all_drifts" in _traced_span_names(tmp_path, argv)
+    assert "simulator.verify_all_drifts" in _traced_span_counts(tmp_path, argv)
+
+
+def test_traced_granularity_selects_fewer_times_than_cells(tmp_path):
+    # the count perfbench reports as protocols.select_calls
+    argv = ["granularity", "--protocols", "all", "--sweep", "percent:1..100"]
+    assert _traced_span_counts(tmp_path, argv)["protocols.select_params"] < 5 * 100
