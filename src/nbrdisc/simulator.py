@@ -17,8 +17,10 @@ The analytic engine is the exact fast path for pure divisibility schedules,
 whose hyperperiods can make any walk infeasible: for every cross pair
 (x, y) of the two divisor sets, with g = gcd(x, y), it solves t = 0
 (mod x), t = -g (mod y) once per node pair; a drift d then meets on that
-pair only if g divides d, at d/g times that solution modulo lcm(x, y), and
-the answer is the smallest such slot over the pairs.
+pair only if g divides d, at d/g times that solution modulo lcm(x, y).
+That slot depends on d only through d mod y, so each of b's divisors y
+keeps one table over the residues asked, holding the earliest slot over a's
+divisors, and a drift's answer is the smallest of its lookups.
 
 On top of these sit exhaustive/sampled drift verification, seeded
 Monte-Carlo latency trials (drifts drawn per-trial from a counter-based
@@ -131,8 +133,9 @@ def _sweep(
 
 def _drift_slots(a: Schedule, b: Schedule, drifts: Sequence[int]) -> list[Optional[int]]:
     """First discovery slot (or None) of each drift, from one sweep of their classes."""
-    first = _sweep(a, b, {d % b.period for d in drifts})
-    return [first[d % b.period] for d in drifts]
+    classes = [d % b.period for d in drifts]
+    first = _sweep(a, b, set(classes))
+    return list(map(first.__getitem__, classes))
 
 
 def _scan(a: Schedule, b: Schedule, drift: int, horizon: int) -> DiscoveryResult:
@@ -167,27 +170,30 @@ def _analytic_latency(
 
     Solves each cross pair (x, y) once, for drift g = gcd(x, y): the pair
     meets under drift d iff g divides d, and (d/g) times the solution for
-    g is then the solution for d, unique modulo lcm(x, y).  Each pair fills
-    one column over the drift list (the largest modulus where it never
-    meets); the answer is the element-wise minimum of the columns.
+    g is then the solution for d, unique modulo lcm(x, y).  As g divides y
+    and (y/g) * x is a multiple of lcm(x, y), that depends on d only through
+    r = d mod y: each y tabulates the residues present (earliest meeting over
+    a's divisors, or the largest modulus where none meets), and each drift
+    takes the minimum of its |ys| lookups.
     """
     xs, ys = set(na), set(nb)
     if not xs or not ys:
         raise ValueError("divisor sets must be non-empty")
-    pairs = []
+    pairs_of = {y: [] for y in ys}
     for x in xs:
         for y in ys:
             g = math.gcd(x, y)
             sol = solve_congruence_pair(0, x, -g, y)
-            pairs.append((g, sol.base, sol.modulus))
-    never = max(modulus for _, _, modulus in pairs)
+            pairs_of[y].append((g, sol.base, sol.modulus))
+    never = max(modulus for pairs in pairs_of.values() for _, _, modulus in pairs)
 
     def slots(drifts: Sequence[int]) -> list[Optional[int]]:
-        cols = [
-            [d * base % modulus for d in drifts] if g == 1
-            else [d // g * base % modulus if d % g == 0 else never for d in drifts]
-            for g, base, modulus in pairs
-        ]
+        cols = []
+        for y, pairs in pairs_of.items():
+            rs = [d % y for d in drifts]
+            table = {r: min([r // g * base % m if r % g == 0 else never for g, base, m in pairs])
+                     for r in set(rs)}
+            cols.append(list(map(table.__getitem__, rs)))
         firsts = map(min, *cols) if len(cols) > 1 else cols[0]
         return [None if t == never else t for t in firsts]
 
@@ -278,8 +284,13 @@ def _words(seed: int, indices: Iterable[int]) -> tuple[int, ...]:
     """SHA-256 of ``seed:index`` as a big-endian integer: each trial's random word."""
     import hashlib  # on first use: only simulate and sampled verify draw words
 
-    sha256 = hashlib.sha256
-    return tuple(int.from_bytes(sha256(b"%d:%d" % (seed, i)).digest(), "big") for i in indices)
+    copy = hashlib.sha256(b"%d:" % seed).copy  # hash the shared prefix once
+    words = []
+    for i in indices:
+        h = copy()
+        h.update(b"%d" % i)
+        words.append(int.from_bytes(h.digest(), "big"))
+    return tuple(words)
 
 
 @lru_cache(maxsize=1)
@@ -342,7 +353,7 @@ def latency_trials(
     else:
         build = protocols.build_schedule  # via the module: the traced replay rebinds it
         slots = _drift_slots(build(cfg_a.params), build(cfg_b.params), drifts)
-    latencies = sorted(t for t in slots if t is not None)
+    latencies = sorted([t for t in slots if t is not None])
     return LatencyDistribution(tuple(drifts), tuple(slots), tuple(latencies))
 
 
@@ -371,7 +382,7 @@ CDF_CSV_HEADER = "latency,fraction"
 def trials_csv_rows(dist: LatencyDistribution) -> Iterable[str]:
     """Yield CSV lines (header first), one row per trial."""
     yield TRIALS_CSV_HEADER
-    for trial, (drift, slot) in enumerate(zip(dist.drifts, dist.slots)):
+    for trial, drift, slot in zip(range(len(dist.slots)), dist.drifts, dist.slots):
         yield f"{trial},{drift},,0" if slot is None else f"{trial},{drift},{slot},1"
 
 

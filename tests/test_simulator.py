@@ -160,15 +160,40 @@ def test_analytic_matches_per_drift_solver():
 
 @pytest.mark.parametrize("protocol", ["disco", "todis"])
 def test_latency_trials_analytic_matches_per_drift_solver(protocol):
-    cfg_a = select_params(protocol, Fraction(1, 100))
-    cfg_b = select_params(protocol, Fraction(5, 100))
-    na, nb = cfg_a.params.divisors, cfg_b.params.divisors
-    horizon = lcm(cfg_a.params.period, cfg_b.params.period)
-    dist = latency_trials(cfg_a, cfg_b, 500, seed=5)
-    assert len(dist.drifts) == len(dist.slots) == 500
-    for i, (drift, slot) in enumerate(zip(dist.drifts, dist.slots)):
-        assert drift == trial_drift(5, i, horizon)
-        assert slot == _per_drift_analytic(na, nb, drift)
+    # both orders: at 5%/1% todis b's divisors reach 301, so its residue
+    # tables hold up to 301 entries instead of at most 61
+    for delta_a, delta_b in ((1, 5), (5, 1)):
+        cfg_a = select_params(protocol, Fraction(delta_a, 100))
+        cfg_b = select_params(protocol, Fraction(delta_b, 100))
+        na, nb = cfg_a.params.divisors, cfg_b.params.divisors
+        horizon = lcm(cfg_a.params.period, cfg_b.params.period)
+        dist = latency_trials(cfg_a, cfg_b, 500, seed=5)
+        assert len(dist.drifts) == len(dist.slots) == 500
+        for i, (drift, slot) in enumerate(zip(dist.drifts, dist.slots)):
+            assert drift == trial_drift(5, i, horizon)
+            assert slot == _per_drift_analytic(na, nb, drift), (delta_a, delta_b, drift)
+
+
+@pytest.mark.parametrize("count", [1, 5000])
+def test_analytic_solves_each_cross_pair_once_per_call(monkeypatch, count):
+    # a work count: one congruence per cross pair, however many drifts are asked
+    solves = []
+
+    def counting_solve(*args):
+        solves.append(args)
+        return solve_congruence_pair(*args)
+
+    monkeypatch.setattr(simulator, "solve_congruence_pair", counting_solve)
+    rng = random.Random(count)
+    cases = [({6, 10}, {4, 9, 15}), ({7}, {7})]
+    for protocol in ("disco", "todis"):
+        cases.append((select_params(protocol, Fraction(1, 100)).params.divisors,
+                      select_params(protocol, Fraction(5, 100)).params.divisors))
+    for na, nb in cases:
+        drifts = [rng.randrange(10**12) for _ in range(count)]
+        solves.clear()
+        assert len(simulator._analytic_latency(na, nb)(drifts)) == count
+        assert len(solves) == len(na) * len(nb), (na, nb)
 
 
 def test_batched_analytic_matches_per_drift_solver():
@@ -439,18 +464,23 @@ def test_trial_drift_is_deterministic_and_in_range():
     assert all(0 <= v < 1000 for v in values)
     assert len(set(values)) > 100  # spread, not constant
     assert values != [trial_drift(43, i, 1000) for i in range(200)]
+    # the word is SHA-256 of "seed:index", however it is computed
+    for i in (0, 7, 10**20):
+        word = int.from_bytes(hashlib.sha256(b"42:%d" % i).digest(), "big")
+        assert trial_drift(42, i, 10**9 + 7) == word % (10**9 + 7)
 
 
 def test_latency_trials_hash_each_trial_once_across_protocols(monkeypatch):
-    # a work count, not a timing bound: one digest per trial index, shared
-    digests = []
-    sha256 = hashlib.sha256
+    # a work count, not a timing bound: one word per trial index, shared
+    hashed = []
+    words = simulator._words
 
-    def counting_sha256(*args, **kwargs):
-        digests.append(args)
-        return sha256(*args, **kwargs)
+    def counting_words(seed, indices):
+        indices = list(indices)
+        hashed.extend(indices)
+        return words(seed, indices)
 
-    monkeypatch.setattr(hashlib, "sha256", counting_sha256)
+    monkeypatch.setattr(simulator, "_words", counting_words)
     simulator._trial_words.cache_clear()
     seed, trials = 61, 300
     runs = []
@@ -459,7 +489,8 @@ def test_latency_trials_hash_each_trial_once_across_protocols(monkeypatch):
         cfg_b = select_params(protocol, Fraction(1, 4))
         horizon = lcm(cfg_a.params.period, cfg_b.params.period)
         runs.append((protocol, horizon, latency_trials(cfg_a, cfg_b, trials, seed)))
-    assert len(digests) == trials  # not 5 * trials
+    assert len(hashed) == trials  # not 5 * trials
+    assert set(hashed) == set(range(trials))
     for protocol, horizon, dist in runs:
         drifts = [trial_drift(seed, i, horizon) for i in range(trials)]
         assert list(dist.drifts) == drifts, protocol
