@@ -46,7 +46,10 @@ from .simulator import (
 def parse_delta(text: str) -> Fraction:
     """Duty cycle from '0.05', '1/20' or '5%'."""
     token = text.strip()
+    num, _, den = token.partition("/")
     try:
+        if num.isascii() and num.isdigit() and den.isascii() and den.isdigit():
+            return Fraction(int(num), int(den))  # exact, as Fraction(token) reads it
         if token.endswith("%"):
             return Fraction(token[:-1]) / 100
         return Fraction(token)
@@ -209,14 +212,8 @@ def cmd_simulate(args: argparse.Namespace, argv: Sequence[str]) -> int:
         )
         _write_lines(str(out_dir / f"{protocol}_cdf.csv"), cdf_csv_rows(dist), argv, args.seed)
         set_a, set_b = cfg_a.params.rendezvous, cfg_b.params.rendezvous
-        bound = ""
-        if set_a is not None and set_b is not None:
-            value = worst_case_bound(set_a, set_b)
-            if value is not None:
-                bound = f" bound={value}"
-            elif cfg_a.params.divisors is not None and cfg_b.params.divisors is not None:
-                # a proof only for divisibility pairs: uconnect's half-row still meets
-                bound = " bound=unbounded"
+        value = None if set_a is None or set_b is None else worst_case_bound(set_a, set_b)
+        bound = "" if value is None else f" bound={value}"
         peak = max(dist.latencies) if dist.latencies else ""
         print(
             f"{protocol}: node_a={format_params(cfg_a.params)} "

@@ -58,16 +58,21 @@ def relative_error(
 ) -> GranularityRecord:
     """Select the best parameter for ``delta`` and report the exact error."""
     delta = as_fraction(delta)
-    cfg = select_params(protocol, delta, options)
-    return _record(protocol, delta, cfg.achieved_delta, cfg.params)
-
-
-def _record(protocol: str, delta: Fraction, achieved: Fraction, params) -> GranularityRecord:
-    """The record of ``delta`` settled by ``params``, its error exact and in integers."""
-    num, den = delta.numerator, delta.denominator
-    a, b = achieved.numerator, achieved.denominator
-    err = Fraction(abs(a * den - num * b), num * b)
+    _, params, achieved = select_params(protocol, delta, options)
+    (n, d), (a, b) = delta.as_integer_ratio(), achieved.as_integer_ratio()
+    err = Fraction(abs(a * d - n * b), n * b)
     return GranularityRecord(protocol, delta, achieved, err, params)
+
+
+def _records(protocol: str, deltas, pairs, rec: GranularityRecord) -> list[GranularityRecord]:
+    """:func:`relative_error`'s records of ``deltas`` (integer ratios ``pairs``) at ``rec``."""
+    achieved, params, new = rec.achieved_delta, rec.params, tuple.__new__
+    a, b = achieved.as_integer_ratio()
+    return [
+        new(GranularityRecord,  # as GranularityRecord._make does: no constructor frame
+            (protocol, f, achieved, Fraction(abs(a * d - n * b), n * b), params, None))
+        for f, (n, d) in zip(deltas, pairs)
+    ]
 
 
 def _cell(protocol: str, delta: Fraction, options) -> GranularityRecord:
@@ -98,11 +103,13 @@ def sweep(
     def key(f: Fraction) -> tuple:
         # exact: the floor, then the correctly rounded (so never decreasing, never
         # overflowing) remainder quotient; only float ties compare Fractions
-        return f.numerator // f.denominator, f.numerator % f.denominator / f.denominator, f
+        n, d = f.as_integer_ratio()
+        return n // d, n % d / d, f
 
     ordered = sorted(map(as_fraction, deltas), key=key)
     if not protocols or not ordered:
         raise ValueError("sweep needs at least one protocol and one duty cycle")
+    pairs = [f.as_integer_ratio() for f in ordered]
     records: list[GranularityRecord] = []
     last = len(ordered) - 1
     for protocol in protocols:
@@ -114,8 +121,7 @@ def sweep(
             i, j = ranges.pop()
             lo, hi = column[i], column[j]
             if lo.error is None and lo.params == hi.params:  # so hi.error is None
-                for k in range(i + 1, j):
-                    column[k] = _record(protocol, ordered[k], lo.achieved_delta, lo.params)
+                column[i + 1 : j] = _records(protocol, ordered[i + 1 : j], pairs[i + 1 : j], lo)
             elif j - i > 1:
                 m = (i + j) // 2
                 column[m] = _cell(protocol, ordered[m], options)
@@ -153,21 +159,24 @@ def todis_error_upper_bound(delta) -> float:
     # the result more than 1e-6 (relative) off an exact evaluation.
     if 10**7 * num < den:
         raise BoundDomainError("no float-accurate envelope for duty cycles below 1e-7")
-    d = float(frac)
+    d = num / den  # float(frac), correctly rounded
     # the quartic's coefficients, each rounded as the quartic's expression
     # rounds it; 9*d and -9 stay apart, as folding them changes the rounding
+    # (x - 9.0 < 0.0 exactly when x < 9.0, so the loop compares with 9)
     c4, c2, c0 = 16.0 * d, 12.0 - 40.0 * d, 9.0 * d
     # quartic(2) = 105*d - 81 < 0 on the domain, and at k = 1.5/d + 2 the two
     # leading terms sum to 32*d*k**3, so quartic(k) = k**2*(60 + 24*d) + 36*k
     # + 9*d - 9 > 0: the bracket holds the single sign change of interest.
+    # It starts over 0.49*hi wide and halves, give or take 2**-51*hi of rounding
+    # in all, so the width test cannot pass before i = 41.
     lo, hi = 2.0, 1.5 / d + 2.0
-    for _ in range(200):
+    for i in range(200):
         k = 0.5 * (lo + hi)
-        if (((c4 * k - 24.0) * k + c2) * k + 36.0) * k + c0 - 9.0 < 0.0:
+        if (((c4 * k - 24.0) * k + c2) * k + 36.0) * k + c0 < 9.0:
             lo = k
         else:
             hi = k
-        if hi - lo <= 1e-13 * hi:  # hi > 2
+        if i > 40 and hi - lo <= 1e-13 * hi:  # hi > 2
             break
     k = 0.5 * (lo + hi)
     return max((_f(2.0 * k - 1.0) - d) / d, 0.0)
@@ -212,24 +221,24 @@ def granularity_csv_rows(records: Iterable[GranularityRecord]) -> Iterable[str]:
     # per distinct duty cycle: its text and its todis bound cell
     shared: dict[tuple[int, int], tuple[str, str]] = {}
     # consecutive rows of one protocol often share the chosen parameter
-    achieved = params = None
-    for rec in records:
-        key = rec.desired_delta.numerator, rec.desired_delta.denominator
+    last_achieved = last_params = None
+    for protocol, delta, achieved, error, params, message in records:
+        key = delta.as_integer_ratio()
         if key not in shared:
             try:
-                bound = format_rational(todis_error_upper_bound(rec.desired_delta))
+                bound = format_rational(todis_error_upper_bound(delta))
             except ValueError:
                 bound = ""
-            shared[key] = format_rational(rec.desired_delta), bound
+            shared[key] = format_rational(delta), bound
         desired, bound = shared[key]
-        if rec.error is not None:
-            yield f'{rec.protocol},{desired},,,"error:{escape_error(rec.error)}",{bound}'
+        if message is not None:
+            yield f'{protocol},{desired},,,"error:{escape_error(message)}",{bound}'
             continue
-        if rec.achieved_delta is not achieved:
-            achieved = rec.achieved_delta
-            achieved_text = format_rational(achieved)
-        if rec.params is not params:
-            params = rec.params
-            params_text = format_params(params)
-        error = format_rational(rec.relative_error)
-        yield f'{rec.protocol},{desired},{achieved_text},{error},"{params_text}",{bound}'
+        if achieved is not last_achieved:
+            last_achieved, achieved_text = achieved, format_rational(achieved)
+        if params is not last_params:
+            last_params, params_text = params, format_params(params)
+        n, d = error.as_integer_ratio()
+        x = n / d if n < d else 0.0  # a selected cell's error is below 1: no overflow
+        text = f"{x:.12g}" if x or not n else format_rational(error)
+        yield f'{protocol},{desired},{achieved_text},{text},"{params_text}",{bound}'

@@ -43,9 +43,6 @@ PRIME_POOL_LIMIT = 10_000
 # largest selectable schedule, todis n=1201, holds about 4.3 million.
 MAX_WAKE_SLOTS = 10**7
 
-# Fields of the immutable parameter values are stored once, by __init__.
-_set = object.__setattr__
-
 
 class ParameterError(ValueError):
     """Protocol parameter outside its legal range or its build cap."""
@@ -230,8 +227,7 @@ class DiscoParams(ProtocolParams):
         for p in (p1, p2):
             if not _is_prime(p):
                 raise ParameterError(f"disco parameter {p} is not prime")
-        _set(self, "p1", p1)
-        _set(self, "p2", p2)
+        super().__init__(p1, p2)
 
     @property
     def period(self) -> int:
@@ -271,7 +267,7 @@ class UConnectParams(ProtocolParams):
     def __init__(self, p: int) -> None:
         if p == 2 or not _is_prime(p):
             raise ParameterError(f"uconnect needs an odd prime, got {p}")
-        _set(self, "p", p)
+        super().__init__(p)
 
     @property
     def period(self) -> int:
@@ -314,8 +310,7 @@ class SearchlightParams(ProtocolParams):
             raise ParameterError(f"searchlight needs t >= 2, got {t}")
         if i < 1:
             raise ParameterError(f"searchlight needs i >= 1, got {i}")
-        _set(self, "t", t)
-        _set(self, "i", i)
+        super().__init__(t, i)
 
     @property
     def period(self) -> int:
@@ -356,7 +351,7 @@ class HedisParams(ProtocolParams):
     def __init__(self, n: int) -> None:
         if n < 3:
             raise ParameterError(f"hedis needs n >= 3, got {n}")
-        _set(self, "n", n)
+        super().__init__(n)
 
     @property
     def period(self) -> int:
@@ -390,7 +385,7 @@ class TodisParams(ProtocolParams):
     def __init__(self, n: int) -> None:
         if n < 5 or n % 2 == 0:
             raise ParameterError(f"todis needs an odd n >= 5, got {n}")
-        _set(self, "n", n)
+        super().__init__(n)
 
     @property
     def period(self) -> int:
@@ -467,9 +462,7 @@ class SelectionOptions(Frozen):
             raise ValueError(f"searchlight_t must be >= 2, got {searchlight_t}")
         if todis_max_n < 5:
             raise ValueError(f"todis_max_n must be >= 5, got {todis_max_n}")
-        _set(self, "hedis_parity", hedis_parity)
-        _set(self, "searchlight_t", searchlight_t)
-        _set(self, "todis_max_n", todis_max_n)
+        super().__init__(hedis_parity, searchlight_t, todis_max_n)
 
 
 DEFAULT_OPTIONS = SelectionOptions()

@@ -22,12 +22,17 @@ class Frozen:
 
     A subclass names its fields, in order, as ``__slots__ = __match_args__``.
     Its ``__init__`` takes them positionally or by keyword, checks them and
-    stores each with ``object.__setattr__``.  Values compare and hash by
-    exact type plus fields, and any assignment raises :class:`AttributeError`.
+    passes them in field order to ``Frozen.__init__``, which stores them.
+    Values compare and hash by exact type plus fields, and any assignment
+    raises :class:`AttributeError`.
     """
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self.__match_args__, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__match_args__)
@@ -35,7 +40,7 @@ class Frozen:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._values() == other._values()
+        return other is self or self._values() == other._values()
 
     def __hash__(self) -> int:
         return hash((type(self), self._values()))
@@ -66,8 +71,7 @@ class Schedule(Frozen):
         for slot in active:
             if not isinstance(slot, int) or not 0 <= slot < period:
                 raise ValueError(f"active slot {slot!r} outside [0, {period})")
-        object.__setattr__(self, "period", period)
-        object.__setattr__(self, "active", active)
+        super().__init__(period, active)
 
 
 def make_schedule(period: int, active_slots: Iterable[int]) -> Schedule:

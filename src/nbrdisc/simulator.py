@@ -57,10 +57,7 @@ class DriftedPair(Frozen):
     __slots__ = __match_args__ = ("a", "b", "drift")
 
     def __init__(self, a: Schedule, b: Schedule, drift: int) -> None:
-        drift %= lcm(a.period, b.period)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "drift", drift)
+        super().__init__(a, b, drift % lcm(a.period, b.period))
 
 
 class DiscoveryResult(NamedTuple):

@@ -1,5 +1,6 @@
 """CLI behavior: notation, sweep grammar, output metadata and determinism."""
 
+import math
 import sys
 from fractions import Fraction
 
@@ -7,7 +8,13 @@ import pytest
 
 from nbrdisc import cli, protocols
 from nbrdisc.cli import main, parse_delta, parse_protocols, parse_sweep
-from nbrdisc.protocols import PROTOCOL_ORDER, NotationError, SearchlightParams, TodisParams
+from nbrdisc.protocols import (
+    PROTOCOL_ORDER,
+    NotationError,
+    SearchlightParams,
+    SelectionOptions,
+    TodisParams,
+)
 
 
 def test_parse_delta_forms():
@@ -16,6 +23,30 @@ def test_parse_delta_forms():
     assert parse_delta("5%") == Fraction(1, 20)
     with pytest.raises(NotationError):
         parse_delta("lots")
+
+
+def _fraction_text(text):
+    """``parse_delta`` through ``Fraction(str)`` alone: the value, or the error text."""
+    token = text.strip()
+    try:
+        return Fraction(token[:-1]) / 100 if token.endswith("%") else Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        return f"bad duty cycle '{text}'"
+
+
+@pytest.mark.parametrize(
+    "token",
+    ["01/20", "1/0", " 3/4 ", "1_000/3", "-1/2", "1/-2", "1/ 2", "\u00b2/3", "\u0663/\u0664",
+     "7" * 4301 + "/9", "0.05", "5%"],
+)
+def test_parse_delta_fast_path_matches_fraction_text(token):
+    # ASCII p/q tokens skip Fraction's parser; every token reads as Fraction(str) reads it
+    try:
+        got = parse_delta(token)
+    except NotationError as exc:
+        got = str(exc)
+    expected = _fraction_text(token)
+    assert got == expected and type(got) is type(expected)
 
 
 def test_parse_sweep_grammar():
@@ -401,6 +432,23 @@ def test_cmd_simulate_prints_no_bound_for_equal_uconnect_primes(tmp_path, capsys
     assert "bound=" not in line
     assert main([*argv[:4], "1%", *argv[5:]]) == 0
     assert capsys.readouterr().out.strip().endswith(" bound=4321")
+
+
+def test_simulate_selects_no_divisibility_pair_without_a_bound():
+    """Every disco and todis pair ``simulate`` can select has a co-prime cross pair.
+
+    ``simulate`` selects one protocol for both nodes.  A disco node holds two
+    distinct primes: for {p1, p2} and {q1, q2} to have no co-prime cross pair,
+    p1 would have to equal both q1 and q2, which is impossible.  todis
+    selection stops at ``todis_max_n`` (no CLI option raises it), so every
+    pair of odd n and m in [5, todis_max_n] is checked here.  So every disco
+    and todis summary line carries a ``bound=``.
+    """
+    top = SelectionOptions().todis_max_n
+    sets = [TodisParams(n).rendezvous for n in range(5, top + 1, 2)]
+    assert len(sets) ** 2 == 358801
+    gcd = math.gcd
+    assert all(any(gcd(x, y) == 1 for x in a for y in b) for a in sets for b in sets)
 
 
 def test_cmd_simulate_builds_each_grid_schedule_once(tmp_path, monkeypatch, capsys):

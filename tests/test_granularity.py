@@ -1,5 +1,7 @@
 """Relative-error records, sweeps and the todis error envelope."""
 
+import hashlib
+import math
 import random
 from collections import Counter
 from decimal import Decimal, localcontext
@@ -8,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from nbrdisc import granularity, protocols
+from nbrdisc.cli import parse_sweep
 from nbrdisc.granularity import (
     BoundDomainError,
     GranularityRecord,
@@ -171,6 +174,16 @@ ENVELOPE_BITS = [
 def test_envelope_bits_are_pinned():
     for num, den, bits in ENVELOPE_BITS:
         assert float.hex(todis_error_upper_bound(Fraction(num, den))) == bits, (num, den)
+
+
+def test_envelope_bits_are_pinned_on_every_ten_thousandth():
+    # SHA-256 of the float.hex lines of every k/10000 in the domain (k < 7715)
+    digest = hashlib.sha256()
+    for k in range(1, 7715):
+        digest.update(float.hex(todis_error_upper_bound(Fraction(k, 10000))).encode() + b"\n")
+    assert digest.hexdigest() == "92e9dd18e4897c7b16d7ea29aa674802bb2d9d6a7c195b8ee0c346addb00c671"
+    with pytest.raises(BoundDomainError):
+        todis_error_upper_bound(Fraction(7715, 10000))
 
 
 def test_envelope_dominates_measured_error():
@@ -439,6 +452,19 @@ def test_sweep_fill_matches_per_cell_records():
     hedis = {rec.desired_delta: rec for rec in records if rec.protocol == "hedis"}
     assert "integer string limit" in hedis[Fraction(1, 10**5000)].error
     assert hedis[Fraction(1, 10**400)].params == HedisParams(2 * 10**400)
+
+
+def test_sweep_fill_builds_exact_records():
+    # the filled cells of a seeded 1,000-duty list: sweep are plain records with exact errors
+    rng = random.Random(1)
+    deltas = parse_sweep("list:" + ",".join(f"{rng.randint(100, 10000)}/10000" for _ in range(1000)))
+    records = sweep(list(PROTOCOL_ORDER), deltas)
+    assert len(records) == 5000
+    for rec in records:
+        assert type(rec) is GranularityRecord and rec.error is None
+        err = rec.relative_error
+        assert type(err) is Fraction and math.gcd(err.numerator, err.denominator) == 1
+        assert err == abs(rec.achieved_delta - rec.desired_delta) / rec.desired_delta
 
 
 def test_sweep_orders_duty_cycles_exactly():

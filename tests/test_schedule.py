@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from nbrdisc.protocols import HedisParams, TodisParams
 from nbrdisc.schedule import duty_cycle, make_schedule
 
 
@@ -43,3 +44,16 @@ def test_duty_cycle_exact():
 def test_round_trip_fields():
     s = make_schedule(12, [0, 3, 7])
     assert make_schedule(s.period, s.active) == s
+
+
+def test_frozen_equality_is_by_type_and_fields():
+    a, b = make_schedule(12, [0, 3, 7]), make_schedule(12, [7, 3, 0])
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a == a and not a != a
+    assert a != make_schedule(12, [0, 3])
+    n, m = HedisParams(40), HedisParams(40)
+    assert n is not m and n == m and hash(n) == hash(m)
+    # equal fields of another type are not equal
+    assert HedisParams(5).__eq__(TodisParams(5)) is NotImplemented
+    assert HedisParams(5) != TodisParams(5)
+    assert a.__eq__((12, frozenset({0, 3, 7}))) is NotImplemented
