@@ -13,6 +13,7 @@ invocation produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -103,6 +104,13 @@ def _options_from(args: argparse.Namespace) -> SelectionOptions:
     return SelectionOptions(hedis_parity=args.parity, searchlight_t=args.searchlight_t)
 
 
+class OutputError(ValueError):
+    """An ``--out`` path that cannot be written; reported like other refused input."""
+
+    def __init__(self, path: str | Path, exc: OSError) -> None:
+        super().__init__(f"cannot write '{path}': {exc.strerror or exc}")
+
+
 def _write_lines(
     out: Optional[str], lines: Iterable[str], argv: Sequence[str], seed: int
 ) -> None:
@@ -110,8 +118,11 @@ def _write_lines(
     text = "\n".join([head, *lines]) + "\n"
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out).write_text(text, encoding="utf-8", newline="")
+    except OSError as exc:
+        raise OutputError(out, exc) from None
 
 
 # --------------------------------------------------------------------------
@@ -196,7 +207,10 @@ def cmd_simulate(args: argparse.Namespace, argv: Sequence[str]) -> int:
     if args.trials < 1:
         raise ValueError(f"trials must be >= 1, got {args.trials}")
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OutputError(out_dir, exc) from None
     status = 0
     for protocol in protocols:
         try:
@@ -313,5 +327,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
 
 
+def run() -> None:
+    """Entry point of the ``nbrdisc`` command and ``python -m nbrdisc.cli``.
+
+    Ends the process once ``main`` returns and its output is flushed, without
+    interpreter teardown (module clearing and a last full garbage collection),
+    so ``atexit`` handlers do not run.  ``SystemExit`` from argparse and
+    uncaught exceptions leave the normal way.
+    """
+    status = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        sys.exit(status)  # a closed pipe: teardown reports it, as for any program
+    # Every output file is closed here: _write_lines writes each one whole with
+    # Path.write_text.  A file still open at this call would lose its buffer.
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

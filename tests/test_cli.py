@@ -496,3 +496,29 @@ def test_cmd_verify_rejects_non_decimal_parameter(value, capsys):
 def test_negative_parameter_reaches_range_check(capsys):
     assert main(["schedule", "hedis:n=-5"]) == 2
     assert "hedis needs n >= 3, got -5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "hedis:n=4", "hedis:n=6"], ["schedule", "todis:n=15"], ["params", "--delta", "5%"],
+     ["granularity", "--sweep", "list:0.2"]],
+    ids=lambda argv: argv[0],
+)
+def test_cmd_reports_unwritable_out_file(argv, tmp_path, capsys):
+    out = tmp_path / "missing" / "dir" / "x.txt"
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write '{out}': No such file or directory\n"
+
+
+def test_cmd_simulate_reports_out_that_is_a_file(tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    argv = ["simulate", "--protocols", "hedis", "--delta-a", "5%", "--delta-b", "5%",
+            "--trials", "2", "--out", str(afile)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write '{afile}': File exists\n"
+    assert afile.read_text() == "kept\n"

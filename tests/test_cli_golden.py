@@ -5,13 +5,25 @@ directory and hashes everything it produced: the exit status, standard
 output, standard error and every file it wrote (relative path and bytes, in
 path order).  A refactor that is meant to keep behaviour must leave every
 digest unchanged; a deliberate change of output updates the digest here.
+
+Every command runs twice against the same digest: in process through
+``main``, and as a whole ``python -m nbrdisc.cli`` process, which ends with
+``os._exit`` once its output is flushed.  The exit paths of that process
+(errors, usage, ``--version``, a closed stdout) are pinned below as well.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from nbrdisc import __version__
 from nbrdisc.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 GOLDEN = [
     (
@@ -46,19 +58,87 @@ GOLDEN = [
 ]
 
 
-def output_digest(command: str, workdir, capsys) -> str:
-    status = main(command.split())
-    captured = capsys.readouterr()
+def run_cli_process(argv, workdir, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    """Run ``python -m nbrdisc.cli <argv>`` in ``workdir``; stdout and stderr as bytes.
+
+    ``PYTHONUNBUFFERED`` is removed, so stdout is block-buffered as in any
+    pipe and a byte the exit fails to flush is missing from the output.
+    """
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "nbrdisc.cli", *argv], cwd=workdir, env=env,
+        stdout=stdout, stderr=subprocess.PIPE, timeout=120,
+    )
+
+
+def output_digest(status: int, out: bytes, err: bytes, workdir) -> str:
     h = hashlib.sha256()
     h.update(f"status={status}\n".encode())
-    h.update(captured.out.encode() + b"\0" + captured.err.encode() + b"\0")
+    h.update(out + b"\0" + err + b"\0")
     for path in sorted(p for p in workdir.rglob("*") if p.is_file()):
         h.update(path.relative_to(workdir).as_posix().encode() + b"\0")
         h.update(path.read_bytes() + b"\0")
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("command, digest", GOLDEN, ids=[c for c, _ in GOLDEN])
-def test_readme_command_output_unchanged(command, digest, tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    assert output_digest(command, tmp_path, capsys) == digest
+CASES = [pytest.param(c, d, False, id=c) for c, d in GOLDEN] + [
+    pytest.param(c, d, True, id=f"python -m nbrdisc.cli {c}") for c, d in GOLDEN
+]
+
+
+@pytest.mark.parametrize("command, digest, as_process", CASES)
+def test_readme_command_output_unchanged(
+    command, digest, as_process, tmp_path, monkeypatch, capsys
+):
+    if as_process:
+        proc = run_cli_process(command.split(), tmp_path)
+        status, out, err = proc.returncode, proc.stdout, proc.stderr
+    else:
+        monkeypatch.chdir(tmp_path)
+        status = main(command.split())
+        captured = capsys.readouterr()
+        out, err = captured.out.encode(), captured.err.encode()
+    assert output_digest(status, out, err, tmp_path) == digest
+
+
+@pytest.mark.parametrize(
+    "argv, status, stdout_has, stderr",
+    [
+        ("params --protocols all --delta 150%", 1,
+         'disco,"error:duty cycle must be in (0; 1]; got 3/2",1.5,,', ""),
+        ("simulate --protocols all --delta-a 1% --delta-b 5% --trials 0 --out r", 2, "",
+         "error: trials must be >= 1, got 0\n"),
+        ("verify todis:n=5001 todis:n=4999", 2, "",
+         "error: 624999750000009 drifts exceed the work guard 100000000; "
+         "pass --sample N (sample=N in the library) to verify a seeded subset\n"),
+        ("--version", 0, f"{__version__}\n", ""),
+    ],
+    ids=["in-row errors", "refused trials", "work guard", "version"],
+)
+def test_cli_process_exit_paths(argv, status, stdout_has, stderr, tmp_path):
+    proc = run_cli_process(argv.split(), tmp_path)
+    assert (proc.returncode, proc.stderr.decode()) == (status, stderr)
+    assert stdout_has in proc.stdout.decode()
+    assert not any(tmp_path.iterdir())
+
+
+def test_cli_process_usage_error(tmp_path):
+    proc = run_cli_process(["verify", "hedis:n=4"], tmp_path)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.decode().startswith("usage: nbrdisc verify")
+    assert "error: the following arguments are required: spec_b" in proc.stderr.decode()
+
+
+def test_cli_process_reports_closed_stdout(tmp_path):
+    # buffered stdout: the failed flush at exit is reported by interpreter
+    # teardown, as for any Python program writing to a closed pipe
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_cli_process(["verify", "hedis:n=4", "hedis:n=6"], tmp_path, stdout=write_end)
+    finally:
+        os.close(write_end)
+    err = proc.stderr.decode()
+    assert proc.returncode == 120
+    assert "Exception ignored" in err and "BrokenPipeError" in err
