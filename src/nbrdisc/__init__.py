@@ -11,6 +11,14 @@ else is imported from its submodule (``nbrdisc.protocols``,
 __version__ = "0.1.0"
 
 from .protocols import select_params
-from .simulator import cdf, latency_trials, verify_all_drifts
 
 __all__ = ["__version__", "select_params", "latency_trials", "verify_all_drifts", "cdf"]
+
+
+def __getattr__(name: str):
+    """The simulator's exports, loaded on first use so the CLI starts without it."""
+    if name in ("latency_trials", "verify_all_drifts", "cdf"):
+        from . import simulator
+
+        return getattr(simulator, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

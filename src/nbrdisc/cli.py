@@ -20,28 +20,47 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from . import __version__
-from .granularity import escape_error, format_rational, granularity_csv_rows, sweep
 from .protocols import (
     PROTOCOL_ORDER,
     NotationError,
     ParameterError,
+    ScanBudgetError,
     SelectionError,
     SelectionOptions,
     build_schedule,
+    escape_error,
     format_params,
+    format_rational,
     parse_params,
     select_params,
 )
 from .numtheory import worst_case_bound
 from .schedule import duty_cycle
-from .simulator import (
-    ScanBudgetError,
-    cdf_csv_rows,
-    check_drift_budget,
-    latency_trials,
-    trials_csv_rows,
-    verify_all_drifts,
-)
+
+# The names this module takes from each engine module.  A command binds
+# those of the engines it runs (``_load``), so it imports no other engine;
+# they stay module globals that the traced replay (perfbench/replay.py) reads
+# and rebinds, and a rebinding made before the command runs is kept.
+_ENGINES = {
+    "granularity": ("sweep", "granularity_csv_rows"),
+    "simulator": ("latency_trials", "verify_all_drifts", "trials_csv_rows", "cdf_csv_rows",
+                  "check_drift_budget"),
+}
+
+
+def _load(module: str) -> None:
+    engine = getattr(__import__(__package__, fromlist=[module]), module)
+    for name in _ENGINES[module]:
+        globals().setdefault(name, getattr(engine, name))
+
+
+def __getattr__(name: str):
+    """An engine name read before any command has bound it (PEP 562)."""
+    for module, names in _ENGINES.items():
+        if name in names:
+            _load(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def parse_delta(text: str) -> Fraction:
@@ -150,6 +169,7 @@ def cmd_schedule(args: argparse.Namespace, argv: Sequence[str]) -> int:
 
 
 def cmd_params(args: argparse.Namespace, argv: Sequence[str]) -> int:
+    _load("granularity")
     delta = parse_delta(args.delta)
     records = sweep(parse_protocols(args.protocols), [delta], _options_from(args))
     desired = format_rational(delta)
@@ -165,6 +185,7 @@ def cmd_params(args: argparse.Namespace, argv: Sequence[str]) -> int:
 
 
 def cmd_granularity(args: argparse.Namespace, argv: Sequence[str]) -> int:
+    _load("granularity")
     protocols = parse_protocols(args.protocols)
     deltas = parse_sweep(args.sweep)
     records = sweep(protocols, deltas, _options_from(args))
@@ -174,9 +195,12 @@ def cmd_granularity(args: argparse.Namespace, argv: Sequence[str]) -> int:
 
 
 def cmd_verify(args: argparse.Namespace, argv: Sequence[str]) -> int:
+    _load("simulator")
     params_a, params_b = parse_params(args.spec_a), parse_params(args.spec_b)
     if args.sample is None:
         check_drift_budget(params_a.period, params_b.period, args.max_work)
+    elif args.sample < 1:  # before building: todis schedules hold millions of slots
+        raise ValueError(f"sample must be >= 1, got {args.sample}")
     result = verify_all_drifts(
         build_schedule(params_a),
         build_schedule(params_b),
@@ -200,6 +224,7 @@ def cmd_verify(args: argparse.Namespace, argv: Sequence[str]) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace, argv: Sequence[str]) -> int:
+    _load("simulator")
     protocols = parse_protocols(args.protocols)
     delta_a = parse_delta(args.delta_a)
     delta_b = parse_delta(args.delta_b)

@@ -25,8 +25,9 @@ from .protocols import (
     SelectionOptions,
     TodisParams,
     as_fraction,
-    decimal_text,
+    escape_error,
     format_params,
+    format_rational,
     select_params,
 )
 
@@ -187,28 +188,6 @@ def todis_error_upper_bound(delta) -> float:
 # --------------------------------------------------------------------------
 
 GRANULARITY_CSV_HEADER = "protocol,desired_delta,achieved_delta,relative_error,params,todis_bound"
-
-
-def format_rational(value) -> str:
-    """Decimal rendering with 12 significant digits.
-
-    A ``Fraction`` is rendered from its correctly rounded integer quotient,
-    which equals ``float(value)``.  A nonzero fraction outside the float
-    range, which rounds to 0 or overflows, is rendered from its exact value
-    instead, without trailing zeros as on the float path.
-    """
-    try:
-        x = value.numerator / value.denominator if isinstance(value, Fraction) else float(value)
-        if x or not value:
-            return f"{x:.12g}"
-    except OverflowError:
-        pass
-    return decimal_text(value)
-
-
-def escape_error(message: str) -> str:
-    """Error message safe in one quoted CSV cell: ',' -> ';' and '"' -> "'"."""
-    return message.replace(",", ";").replace('"', "'")
 
 
 def granularity_csv_rows(records: Iterable[GranularityRecord]) -> Iterable[str]:

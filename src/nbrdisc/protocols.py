@@ -56,6 +56,10 @@ class NotationError(ValueError):
     """Malformed textual parameter notation."""
 
 
+class ScanBudgetError(RuntimeError):
+    """Exhaustive drift verification exceeded its work guard."""
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -92,6 +96,28 @@ def decimal_text(value: Fraction) -> str:
     ctx = Context(prec=12)
     quotient = Decimal(10 * q + (r != 0)).scaleb(-k - 1, ctx)
     return ("-" if value < 0 else "") + format(quotient.normalize(ctx), ".12g")
+
+
+def format_rational(value) -> str:
+    """Decimal rendering with 12 significant digits.
+
+    A ``Fraction`` is rendered from its correctly rounded integer quotient,
+    which equals ``float(value)``.  A nonzero fraction outside the float
+    range, which rounds to 0 or overflows, is rendered from its exact value
+    instead, without trailing zeros as on the float path.
+    """
+    try:
+        x = value.numerator / value.denominator if isinstance(value, Fraction) else float(value)
+        if x or not value:
+            return f"{x:.12g}"
+    except OverflowError:
+        pass
+    return decimal_text(value)
+
+
+def escape_error(message: str) -> str:
+    """Error message safe in one quoted CSV cell: ',' -> ';' and '"' -> "'"."""
+    return message.replace(",", ";").replace('"', "'")
 
 
 def _text(value: Fraction) -> str:

@@ -37,11 +37,18 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from . import protocols
 from .numtheory import lcm, solve_congruence_pair
+from .protocols import ScanBudgetError
 from .schedule import Frozen, Schedule
 
-
-class ScanBudgetError(RuntimeError):
-    """Exhaustive drift verification exceeded its work guard."""
+try:
+    # hashlib is heavy to load (OpenSSL), so try CPython's lean built-in
+    # SHA-256 first, as random.py does for SHA-512; the digests are the same
+    from _sha2 import sha256 as _sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 
 _SAMPLE_HINT = "pass --sample N (sample=N in the library) to verify a seeded subset"
@@ -279,9 +286,7 @@ def verify_all_drifts(
 
 def _words(seed: int, indices: Iterable[int]) -> tuple[int, ...]:
     """SHA-256 of ``seed:index`` as a big-endian integer: each trial's random word."""
-    import hashlib  # on first use: only simulate and sampled verify draw words
-
-    copy = hashlib.sha256(b"%d:" % seed).copy  # hash the shared prefix once
+    copy = _sha256(b"%d:" % seed).copy  # hash the shared prefix once
     words = []
     for i in indices:
         h = copy()

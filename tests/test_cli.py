@@ -279,6 +279,18 @@ def test_cmd_verify_refuses_oversized_exhaustive_run_before_building(
     assert "exceed the work guard 100000000" in captured.err
 
 
+@pytest.mark.parametrize("sample", [0, -5])
+def test_cmd_verify_refuses_sample_below_one_before_building(monkeypatch, capsys, sample):
+    def no_build(params):
+        pytest.fail(f"built {params} before refusing --sample {sample}")
+
+    monkeypatch.setattr(cli, "build_schedule", no_build)
+    assert main(["verify", "todis:n=1201", "todis:n=1199", "--sample", str(sample)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: sample must be >= 1, got {sample}\n"
+
+
 def _no_build(params):
     pytest.fail(f"built {params} past the wake-slot cap")
 

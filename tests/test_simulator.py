@@ -1,9 +1,13 @@
 """Discovery engines, drift verification, latency trials and CDFs."""
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +41,7 @@ from nbrdisc.simulator import (
     verify_all_drifts,
 )
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 S_A = make_schedule(6, [5])
 S_B = make_schedule(9, [1, 8])
 
@@ -468,6 +473,43 @@ def test_trial_drift_is_deterministic_and_in_range():
     for i in (0, 7, 10**20):
         word = int.from_bytes(hashlib.sha256(b"42:%d" % i).digest(), "big")
         assert trial_drift(42, i, 10**9 + 7) == word % (10**9 + 7)
+
+
+def test_trial_words_are_hashlib_sha256_words():
+    for seed in (0, 1, 42, 2**31 - 1):
+        expected = tuple(
+            int.from_bytes(hashlib.sha256(b"%d:%d" % (seed, i)).digest(), "big")
+            for i in range(1000)
+        )
+        assert simulator._words(seed, range(1000)) == expected
+
+
+def test_hashlib_fallback_writes_the_same_simulate_bytes(tmp_path):
+    # without CPython's built-in SHA-256 modules, trial words come from hashlib
+    script = """
+import sys
+import hashlib
+if sys.argv[1] == "hashlib":
+    sys.modules["_sha2"] = sys.modules["_sha256"] = None
+from nbrdisc import cli, simulator
+if sys.argv[1] == "hashlib":
+    assert simulator._sha256 is hashlib.sha256
+sys.exit(cli.main(["simulate", "--protocols", "all", "--delta-a", "2%", "--delta-b", "5%",
+                   "--trials", "200", "--seed", "7", "--out", "out"]))
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    outputs = []
+    for mode in ("built-in", "hashlib"):
+        cwd = tmp_path / mode
+        cwd.mkdir()
+        proc = subprocess.run([sys.executable, "-c", script, mode], cwd=cwd, env=env,
+                              capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        files = {p.name: p.read_bytes() for p in sorted((cwd / "out").iterdir())}
+        outputs.append((proc.stdout, files))
+    assert len(outputs[0][1]) == 10
+    assert outputs[0] == outputs[1]
 
 
 def test_latency_trials_hash_each_trial_once_across_protocols(monkeypatch):

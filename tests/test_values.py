@@ -1,6 +1,8 @@
 """Value semantics of the library's records, and what importing the CLI loads."""
 
 import copy
+import importlib.util
+import json
 import os
 import pickle
 import subprocess
@@ -118,26 +120,89 @@ def test_congruence_solution_truth_is_solvability():
     assert CongruenceSolution(0, 1, True)
 
 
-def test_cli_import_loads_neither_dataclasses_nor_hashlib(tmp_path):
-    script = (
-        "import sys\n"
-        "before = set(sys.modules)\n"
-        "import nbrdisc.cli\n"
-        "print(sorted({'dataclasses', 'inspect', 'hashlib'} & (set(sys.modules) - before)))\n"
-        "rc = nbrdisc.cli.main(['simulate', '--protocols', 'hedis,todis', '--delta-a', '5%',\n"
-        "                       '--delta-b', '10%', '--trials', '3', '--out', 'sim'])\n"
-        "print(rc, 'hashlib' in sys.modules)\n"
-    )
+def _run_python(script: str, cwd: Path) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", script],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+CORE = ["nbrdisc", "nbrdisc.cli", "nbrdisc.numtheory", "nbrdisc.protocols", "nbrdisc.schedule"]
+VERIFY = ["verify", "hedis:n=10", "hedis:n=12"]
+
+
+@pytest.mark.parametrize(
+    "argv, engine",
+    [
+        (["schedule", "todis:n=15"], None),
+        (["params", "--delta", "5%"], "granularity"),
+        (["granularity", "--sweep", "list:1/20,1/3"], "granularity"),
+        (VERIFY, "simulator"),
+        (VERIFY + ["--sample", "3"], "simulator"),
+        (["simulate", "--protocols", "hedis,todis", "--delta-a", "5%", "--delta-b", "10%",
+          "--trials", "3", "--out", "sim"], "simulator"),
+    ],
+    ids=["schedule", "params", "granularity", "verify-exhaustive", "verify-sampled", "simulate"],
+)
+def test_cli_import_loads_neither_dataclasses_nor_hashlib(tmp_path, argv, engine):
+    script = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import nbrdisc.cli\n"
+        "at_import = set(sys.modules) - before\n"
+        f"rc = nbrdisc.cli.main({argv!r})\n"
+        "loaded = set(sys.modules) - before\n"
+        "print(json.dumps([rc, sorted({'dataclasses', 'inspect', 'hashlib'} & at_import),\n"
+        "                  sorted(m for m in loaded if m.startswith('nbrdisc')),\n"
+        "                  sorted({'hashlib', '_hashlib'} & loaded)]))\n"
+    )
+    proc = _run_python(script, tmp_path)
     assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert lines[0] == "[]"
-    assert lines[-1] == "0 True"
-    assert (tmp_path / "sim" / "todis_trials.csv").read_text().count("\n") == 3 + 4
+    rc, at_import, nbrdisc_modules, openssl = json.loads(proc.stdout.splitlines()[-1])
+    assert rc == 0
+    assert at_import == []
+    assert nbrdisc_modules == sorted(CORE + ([f"nbrdisc.{engine}"] if engine else []))
+    # trial words hash with CPython's built-in SHA-256 wherever it exists
+    if importlib.util.find_spec("_sha2") or importlib.util.find_spec("_sha256"):
+        assert openssl == []
+    if argv[0] == "simulate":
+        assert (tmp_path / "sim" / "todis_trials.csv").read_text().count("\n") == 3 + 4
+
+
+def test_public_surface_kept_by_lazy_loading(tmp_path):
+    script = """
+import nbrdisc.cli as cli
+assert "latency_trials" not in vars(cli)
+from nbrdisc import granularity, protocols, simulator
+assert cli.latency_trials is simulator.latency_trials
+assert cli.sweep is granularity.sweep
+try:
+    cli.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("cli.no_such_name")
+assert simulator.ScanBudgetError is protocols.ScanBudgetError
+assert granularity.format_rational is protocols.format_rational
+import nbrdisc
+names = {}
+exec("from nbrdisc import *", names)
+assert set(nbrdisc.__all__) <= set(names)
+for name in ("latency_trials", "verify_all_drifts", "cdf"):
+    assert names[name] is getattr(nbrdisc, name) is getattr(simulator, name)
+assert names["select_params"] is protocols.select_params
+try:
+    nbrdisc.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("nbrdisc.no_such_name")
+print("ok")
+"""
+    proc = _run_python(script, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
