@@ -22,10 +22,11 @@ That slot depends on d only through d mod y, so each of b's divisors y
 keeps one table over the residues asked, holding the earliest slot over a's
 divisors, and a drift's answer is the smallest of its lookups.
 
-On top of these sit exhaustive/sampled drift verification, seeded
+One function picks the engine for a node pair, each node a schedule or
+parameters: the analytic one for two divisor sets, building nothing, else
+the walk.  On it sit exhaustive/sampled drift verification, seeded
 Monte-Carlo latency trials (drifts drawn per-trial from a counter-based
-generator, so results are independent of evaluation order), and CDF
-extraction.
+generator, so results are independent of evaluation order), and CDFs.
 """
 
 from __future__ import annotations
@@ -51,6 +52,8 @@ except ImportError:
         from hashlib import sha256 as _sha256
 
 
+# A node of a pair: a built schedule, or parameters that describe one
+Node = Schedule | protocols.ProtocolParams
 _SAMPLE_HINT = "pass --sample N (sample=N in the library) to verify a seeded subset"
 
 
@@ -135,10 +138,23 @@ def _sweep(
     return first
 
 
-def _drift_slots(a: Schedule, b: Schedule, drifts: Sequence[int]) -> list[Optional[int]]:
-    """First discovery slot (or None) of each drift, from one sweep of their classes."""
+def _drift_slots(
+    a: Node, b: Node, drifts: Sequence[int], max_work: Optional[int] = None
+) -> list[Optional[int]]:
+    """First discovery slot (or None) of each drift between two nodes.
+
+    The one place that picks the engine for a node pair.  Two parameter
+    values with ``divisors`` are answered analytically and nothing is built;
+    otherwise each parameter value is built and one sweep settles the
+    drifts' classes, refused past ``max_work`` probes.
+    """
+    div_a, div_b = getattr(a, "divisors", None), getattr(b, "divisors", None)
+    if div_a is not None and div_b is not None:
+        return _analytic_latency(div_a, div_b)(drifts)
+    build = protocols.build_schedule  # via the module: the traced replay rebinds it
+    a, b = (n if isinstance(n, Schedule) else build(n) for n in (a, b))
     classes = [d % b.period for d in drifts]
-    first = _sweep(a, b, set(classes))
+    first = _sweep(a, b, set(classes), max_work=max_work)
     return list(map(first.__getitem__, classes))
 
 
@@ -228,22 +244,9 @@ class DriftVerification(NamedTuple):
     drifts_checked: int
 
 
-def check_drift_budget(period_a: int, period_b: int, max_work: int) -> None:
-    """Refuse an exhaustive verification of more than ``max_work`` drifts.
-
-    The drift count lcm(T_a, T_b) follows from the two periods alone, so a
-    caller can refuse before building either schedule.
-    """
-    drifts = lcm(period_a, period_b)
-    if drifts > max_work:
-        raise ScanBudgetError(
-            f"{drifts} drifts exceed the work guard {max_work}; {_SAMPLE_HINT}"
-        )
-
-
 def verify_all_drifts(
-    a: Schedule,
-    b: Schedule,
+    a: Node,
+    b: Node,
     *,
     max_work: int = 10**8,
     sample: Optional[int] = None,
@@ -251,29 +254,39 @@ def verify_all_drifts(
 ) -> DriftVerification:
     """Check that every drift (or a seeded sample of drifts) yields discovery.
 
-    Exhaustive mode covers every drift in [0, lcm(T_a, T_b)) with one
-    drift-class sweep.  It raises :class:`ScanBudgetError` when the number
-    of drifts exceeds ``max_work``, or once the sweep spent more than
-    ``max_work`` probes (a wake slots walked times b's wake-slot count).
-    Passing ``sample`` switches to seeded sampling instead, flagged by
-    ``exhaustive=False`` in the result.
+    Each node is a built schedule or parameters.  Exhaustive mode covers
+    every drift in [0, lcm(T_a, T_b)).  It raises :class:`ScanBudgetError`,
+    before anything is built, when the number of drifts exceeds
+    ``max_work``; a sweep over built schedules is also refused once it spent
+    more than ``max_work`` probes (a wake slots walked times b's wake-slot
+    count).  Passing ``sample`` switches to seeded sampling instead, flagged
+    by ``exhaustive=False`` in the result.  Two divisibility parameter
+    values are answered analytically in either mode, building nothing.
     """
     horizon = lcm(a.period, b.period)
     if sample is None:
-        check_drift_budget(a.period, b.period, max_work)
+        if horizon > max_work:
+            raise ScanBudgetError(
+                f"{horizon} drifts exceed the work guard {max_work}; {_SAMPLE_HINT}"
+            )
         # Each class holds horizon // T_b drifts, so the per-class maximum
         # and mean are the per-drift ones; int/int division is correctly
         # rounded, so the mean is bit-identical to a per-drift average.
-        slots = list(_sweep(a, b, range(b.period), max_work=max_work).values())
+        slots = _drift_slots(a, b, range(b.period), max_work)
+    elif sample < 1:
+        raise ValueError(f"sample must be >= 1, got {sample}")
     else:
-        if sample < 1:
-            raise ValueError(f"sample must be >= 1, got {sample}")
         slots = _drift_slots(a, b, [trial_drift(seed, i, horizon) for i in range(sample)])
     latencies = [t for t in slots if t is not None]
+    try:
+        mean = sum(latencies) / len(latencies) if latencies else None
+    except OverflowError:
+        raise ValueError(f"the mean latency of {len(latencies)} drifts is beyond "
+                         "the float range") from None
     return DriftVerification(
         all_discover=len(latencies) == len(slots),
         max_latency=max(latencies) if latencies else None,
-        mean_latency=sum(latencies) / len(latencies) if latencies else None,
+        mean_latency=mean,
         exhaustive=sample is None,
         drifts_checked=horizon if sample is None else sample,
     )
@@ -347,14 +360,9 @@ def latency_trials(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    div_a, div_b = cfg_a.params.divisors, cfg_b.params.divisors
     horizon = lcm(cfg_a.params.period, cfg_b.params.period)
     drifts = [w % horizon for w in _trial_words(seed, trials)]
-    if div_a is not None and div_b is not None:
-        slots = _analytic_latency(div_a, div_b)(drifts)
-    else:
-        build = protocols.build_schedule  # via the module: the traced replay rebinds it
-        slots = _drift_slots(build(cfg_a.params), build(cfg_b.params), drifts)
+    slots = _drift_slots(cfg_a.params, cfg_b.params, drifts)
     latencies = sorted([t for t in slots if t is not None])
     return LatencyDistribution(tuple(drifts), tuple(slots), tuple(latencies))
 

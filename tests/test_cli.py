@@ -273,6 +273,7 @@ def test_cmd_verify_refuses_oversized_exhaustive_run_before_building(
         pytest.fail(f"built {params} before the work guard")
 
     monkeypatch.setattr(cli, "build_schedule", no_build)
+    monkeypatch.setattr(protocols, "build_schedule", no_build)
     assert main(["verify", "todis:n=5001", "todis:n=4999"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -285,6 +286,7 @@ def test_cmd_verify_refuses_sample_below_one_before_building(monkeypatch, capsys
         pytest.fail(f"built {params} before refusing --sample {sample}")
 
     monkeypatch.setattr(cli, "build_schedule", no_build)
+    monkeypatch.setattr(protocols, "build_schedule", no_build)
     assert main(["verify", "todis:n=1201", "todis:n=1199", "--sample", str(sample)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -299,7 +301,7 @@ def _no_build(params):
     "argv",
     [
         ["schedule", "todis:n=5001", "--limit", "100"],
-        ["verify", "todis:n=5001", "todis:n=4999", "--sample", "5"],
+        ["verify", "todis:n=5001", "hedis:n=4", "--sample", "5"],
         ["schedule", "searchlight:t=2,i=30"],
     ],
     ids=["schedule-todis", "verify-todis", "schedule-searchlight"],
@@ -311,6 +313,38 @@ def test_cmd_refuses_oversize_schedule_before_building(argv, monkeypatch, capsys
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "wake slots per period, above the build cap of 10000000" in captured.err
+
+
+def test_cmd_verify_answers_divisibility_pair_past_the_build_cap(monkeypatch, capsys):
+    # two divisibility specs are answered analytically, so the cap never applies
+    monkeypatch.setattr(protocols, "build_schedule", _no_build)
+    assert main(["verify", "todis:n=5001", "todis:n=4999", "--sample", "5"]) == 0
+    out = capsys.readouterr().out
+    assert "all_discover=true\nmax_latency=6673665\nmean_latency=2795193\n" in out
+
+
+def test_cmd_verify_exhaustive_divisibility_pair_builds_nothing(monkeypatch, capsys):
+    # a work count, as in test_cmd_simulate_builds_each_grid_schedule_once
+    built = []
+    build = protocols.build_schedule
+
+    def counting_build(params):
+        built.append(params.name)
+        return build(params)
+
+    monkeypatch.setattr(protocols, "build_schedule", counting_build)
+    assert main(["verify", "todis:n=21", "todis:n=23"]) == 0
+    assert "exhaustive=true" in capsys.readouterr().out
+    assert built == []
+
+
+def test_cmd_verify_refuses_mean_beyond_float_range(capsys):
+    a, b = 10**1999 + 1, 10**1999 + 3
+    assert main(["verify", f"todis:n={a}", f"todis:n={b}", "--sample", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "float range" in captured.err
 
 
 def test_cmd_verify_budget_errors_name_the_sample_option(capsys):

@@ -381,6 +381,36 @@ def test_latency_trials_class_table_matches_first_discovery(protocol):
         assert (res.found, res.slot) == (slot is not None, slot)
 
 
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (DiscoParams(3, 5), DiscoParams(5, 7)),
+        (DiscoParams(7, 11), DiscoParams(3, 5)),
+        (TodisParams(5), TodisParams(7)),
+        (TodisParams(13), TodisParams(9)),
+        (UConnectParams(5), UConnectParams(7)),
+        (SearchlightParams(2, 3), SearchlightParams(2, 5)),
+        (HedisParams(4), HedisParams(7)),
+        (TodisParams(9), HedisParams(4)),
+        (HedisParams(5), TodisParams(7)),
+        (DiscoParams(3, 5), UConnectParams(7)),
+        (UConnectParams(5), DiscoParams(5, 7)),
+        (DiscoParams(3, 5), TodisParams(9)),
+        (SearchlightParams(2, 4), TodisParams(5)),
+    ],
+    ids=protocols.format_params,
+)
+def test_verify_all_drifts_params_match_built_schedules(a, b):
+    # parameters take the pair engine's choice (analytic for two divisor
+    # sets), built schedules always the sweep; every answer must agree
+    built_a, built_b = a.build(), b.build()
+    assert verify_all_drifts(a, b) == verify_all_drifts(built_a, built_b)
+    for seed in (1, 7):
+        assert verify_all_drifts(a, b, sample=60, seed=seed) == verify_all_drifts(
+            built_a, built_b, sample=60, seed=seed
+        )
+
+
 def test_todis_exhaustive_drifts_within_bound():
     # Exhaustive companion to the sampled todis grid in test_protocols.py.
     odd = range(5, 30, 2)

@@ -56,7 +56,10 @@ def test_traced_replay_records_granularity_selection(tmp_path):
 
 def test_traced_replay_records_sampled_verify(tmp_path):
     argv = ["verify", "todis:n=201", "todis:n=61", "--sample", "2"]
-    assert "simulator.verify_all_drifts" in _traced_span_counts(tmp_path, argv)
+    spans = _traced_span_counts(tmp_path, argv)
+    assert "simulator.verify_all_drifts" in spans
+    # two divisibility specs are answered analytically: no schedule is built
+    assert "protocols.build_schedule" not in spans
 
 
 def test_traced_granularity_selects_fewer_times_than_cells(tmp_path):
