@@ -27,7 +27,6 @@ from .protocols import (
     ScanBudgetError,
     SelectionError,
     SelectionOptions,
-    build_schedule,
     escape_error,
     format_params,
     format_rational,
@@ -35,7 +34,6 @@ from .protocols import (
     select_params,
 )
 from .numtheory import worst_case_bound
-from .schedule import duty_cycle
 
 # The names this module takes from each engine module.  A command binds
 # those of the engines it runs (``_load``), so it imports no other engine;
@@ -152,13 +150,12 @@ def cmd_schedule(args: argparse.Namespace, argv: Sequence[str]) -> int:
     if args.limit < 0:
         raise NotationError(f"--limit must be >= 0, got {args.limit}")
     params = parse_params(args.spec)
-    schedule = build_schedule(params)
-    duty = duty_cycle(schedule)
-    limit = min(args.limit, schedule.period) if args.limit else schedule.period
-    slots = sorted(t for t in schedule.active if t < limit)
+    period, duty = params.period, params.duty
+    limit = min(args.limit, period) if args.limit else period
+    slots = params.wake_slots(limit)
     lines = [
         f"params={format_params(params)}",
-        f"period={schedule.period}",
+        f"period={period}",
         f"duty_cycle={duty} ({format_rational(duty * 100)}%)",
         f"limit={limit}",
         "active=" + ",".join(str(t) for t in slots),
@@ -289,7 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("schedule", help="print period, duty cycle and active slots")
     p.add_argument("spec", help="parameter notation, e.g. todis:n=15")
-    p.add_argument("--limit", type=int, default=100, help="list active slots below this")
+    p.add_argument(
+        "--limit", type=int, default=100, help="list slots below this; 0 lists the whole period"
+    )
     common(p)
     p.set_defaults(func=cmd_schedule)
 

@@ -12,9 +12,10 @@ combines a prime stride with a half-row of consecutive slots per p**2
 hyperperiod, and searchlight strides anchors t**i apart with one striped
 probe per sub-period.
 
-Each protocol is described in one place, its ``*Params`` class, and listed
-in the :data:`PROTOCOLS` registry; callers ask the parameter value for its
-``build()``, ``period``, ``duty``, ``divisors`` and ``rendezvous`` set.
+Each protocol is described in one place, its ``*Params`` class, which
+declares its wake slots once as a union of ``ranges()``, and listed in the
+:data:`PROTOCOLS` registry; callers ask the parameter value for its ``build()``,
+``wake_slots(stop)``, ``period``, ``duty``, ``divisors`` and ``rendezvous`` set.
 
 :func:`select_params` picks, for a requested duty cycle, the protocol
 parameter whose achieved duty cycle lies closest.  All comparisons are
@@ -39,8 +40,8 @@ from .schedule import Frozen, Schedule
 # periods desk-sized while comfortably covering duty cycles down to 1%.
 PRIME_POOL_LIMIT = 10_000
 
-# Largest wake-slot count per period that build_schedule materializes; the
-# largest selectable schedule, todis n=1201, holds about 4.3 million.
+# Largest wake-slot count that build_schedule materializes or wake_slots
+# lists; the largest selectable schedule, todis n=1201, holds about 4.3 million.
 MAX_WAKE_SLOTS = 10**7
 
 
@@ -214,12 +215,13 @@ class ProtocolParams(Frozen):
     A subclass is an immutable :class:`~nbrdisc.schedule.Frozen` value
     whose fields are the protocol's parameters in notation order, named by
     its ``__match_args__``.  It provides ``name``, the ``period`` implied by
-    its parameters, the staticmethod ``ratio(*fields)`` giving its duty
-    cycle as an integer pair (numerator, denominator), ``build()`` and the
-    classmethod ``pick(delta, options)`` giving the field values whose duty
-    cycle lies closest to ``delta``.  ``duty`` is the exact duty cycle from
-    ``ratio`` (neither builds the schedule).
-    ``divisors`` is the divisor set of a pure divisibility schedule and None
+    its parameters, ``ranges()`` (its wake slots in one period), the
+    staticmethod ``ratio(*fields)`` giving its duty cycle as an integer pair
+    (numerator, denominator) and the classmethod ``pick(delta, options)``
+    giving the field values whose duty cycle lies closest to ``delta``.
+    ``duty`` is the exact duty cycle from ``ratio``.  From ``ranges()`` come
+    ``build()``, ``wake_slots(stop)``, capped at :data:`MAX_WAKE_SLOTS`, and
+    ``divisors``, the steps if each range is ``range(0, period, x)`` and None
     for grid schedules (uconnect's half-row makes it one, although it
     carries a prime); ``rendezvous``, the integer set entering the
     co-primality rendezvous bound, equals ``divisors`` unless overridden.
@@ -227,18 +229,33 @@ class ProtocolParams(Frozen):
 
     __slots__ = ()
     name: ClassVar[str]
-    divisors: Optional[frozenset[int]] = None
 
     @property
     def duty(self) -> Fraction:
         return Fraction(*self.ratio(*self._values()))
 
     @property
+    def divisors(self) -> Optional[frozenset[int]]:
+        ranges = self.ranges()
+        pure = all(r.start == 0 and r.stop == self.period for r in ranges)
+        return frozenset(r.step for r in ranges) if pure else None
+
+    @property
     def rendezvous(self) -> Optional[frozenset[int]]:
         return self.divisors
 
-    def build(self) -> Schedule:  # grid schedules override
-        return coprimality_schedule(self.divisors)
+    def build(self) -> Schedule:
+        return Schedule(self.period, frozenset().union(*self.ranges()))
+
+    def wake_slots(self, stop: int) -> list[int]:
+        """The sorted wake slots of one period below ``stop``, without building it."""
+        if not _fits_str(self.period):
+            raise ParameterError(f"{self.name} period passes the integer string limit")
+        cap = MAX_WAKE_SLOTS + 1  # a slice keeps len() below sys.maxsize
+        cut = [range(r.start, min(r.stop, stop), r.step)[:cap] for r in self.ranges()]
+        if sum(map(len, cut)) >= cap:
+            raise ParameterError(f"{format_params(self)} would list over {MAX_WAKE_SLOTS} slots")
+        return sorted(frozenset().union(*cut))
 
 
 class DiscoParams(ProtocolParams):
@@ -259,13 +276,12 @@ class DiscoParams(ProtocolParams):
     def period(self) -> int:
         return self.p1 * self.p2
 
+    def ranges(self) -> tuple[range, ...]:
+        return range(0, self.period, self.p1), range(0, self.period, self.p2)
+
     @staticmethod
     def ratio(p1: int, p2: int) -> tuple[int, int]:
         return p1 + p2 - 1, p1 * p2
-
-    @property
-    def divisors(self) -> frozenset[int]:
-        return frozenset({self.p1, self.p2})
 
     @classmethod
     def pick(cls, delta: Fraction, options: SelectionOptions) -> tuple[int, int]:
@@ -299,6 +315,9 @@ class UConnectParams(ProtocolParams):
     def period(self) -> int:
         return self.p * self.p
 
+    def ranges(self) -> tuple[range, ...]:
+        return range(0, self.period, self.p), range((self.p + 1) // 2)
+
     @staticmethod
     def ratio(p: int) -> tuple[int, int]:
         return 3 * p - 1, 2 * p * p
@@ -306,11 +325,6 @@ class UConnectParams(ProtocolParams):
     @property
     def rendezvous(self) -> frozenset[int]:
         return frozenset({self.p})
-
-    def build(self) -> Schedule:
-        active = set(range(0, self.period, self.p))
-        active.update(range((self.p + 1) // 2))
-        return Schedule(self.period, frozenset(active))
 
     @classmethod
     def pick(cls, delta: Fraction, options: SelectionOptions) -> tuple[int]:
@@ -343,16 +357,14 @@ class SearchlightParams(ProtocolParams):
         stride = self.t**self.i
         return stride * ((stride + 1) // 2)
 
+    def ranges(self) -> tuple[range, ...]:
+        # sub-period j wakes at j*stride and 1 + j past it: j*(stride+1) + 1
+        stride = self.t**self.i
+        return range(0, self.period, stride), range(1, self.period, stride + 1)
+
     @staticmethod
     def ratio(t: int, i: int) -> tuple[int, int]:
         return 2, t**i
-
-    def build(self) -> Schedule:
-        # sub-period j wakes at j*stride and 1 + j past it: j*(stride+1) + 1
-        stride = self.t**self.i
-        anchors = range(0, self.period, stride)
-        probes = range(1, self.period, stride + 1)
-        return Schedule(self.period, frozenset(anchors).union(probes))
 
     @classmethod
     def pick(cls, delta: Fraction, options: SelectionOptions) -> tuple[int, int]:
@@ -383,14 +395,12 @@ class HedisParams(ProtocolParams):
     def period(self) -> int:
         return self.n * (self.n - 1)
 
+    def ranges(self) -> tuple[range, ...]:
+        return range(0, self.period, self.n), range(1, (self.n + 1) * (self.n - 2) + 2, self.n + 1)
+
     @staticmethod
     def ratio(n: int) -> tuple[int, int]:
         return 2, n
-
-    def build(self) -> Schedule:
-        anchors = range(0, self.period, self.n)
-        probes = range(1, (self.n + 1) * (self.n - 2) + 2, self.n + 1)
-        return Schedule(self.period, frozenset(anchors).union(probes))
 
     @classmethod
     def pick(cls, delta: Fraction, options: SelectionOptions) -> tuple[int]:
@@ -417,14 +427,13 @@ class TodisParams(ProtocolParams):
     def period(self) -> int:
         return (self.n - 2) * self.n * (self.n + 2)
 
+    def ranges(self) -> tuple[range, ...]:
+        return tuple(range(0, self.period, x) for x in (self.n - 2, self.n, self.n + 2))
+
     @staticmethod
     def ratio(n: int) -> tuple[int, int]:
         # granularity's error envelope also evaluates this at real n
         return 3 * (n * n - n - 1), n * (n * n - 4)
-
-    @property
-    def divisors(self) -> frozenset[int]:
-        return frozenset({self.n - 2, self.n, self.n + 2})
 
     @classmethod
     def pick(cls, delta: Fraction, options: SelectionOptions) -> tuple[int]:

@@ -263,6 +263,8 @@ def verify_all_drifts(
     by ``exhaustive=False`` in the result.  Two divisibility parameter
     values are answered analytically in either mode, building nothing.
     """
+    if max_work < 1:
+        raise ValueError(f"max_work must be >= 1, got {max_work}")
     horizon = lcm(a.period, b.period)
     if sample is None:
         if horizon > max_work:

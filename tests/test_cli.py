@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from nbrdisc import cli, protocols
+from nbrdisc import protocols
 from nbrdisc.cli import main, parse_delta, parse_protocols, parse_sweep
 from nbrdisc.protocols import (
     PROTOCOL_ORDER,
@@ -272,7 +272,6 @@ def test_cmd_verify_refuses_oversized_exhaustive_run_before_building(
     def no_build(params):
         pytest.fail(f"built {params} before the work guard")
 
-    monkeypatch.setattr(cli, "build_schedule", no_build)
     monkeypatch.setattr(protocols, "build_schedule", no_build)
     assert main(["verify", "todis:n=5001", "todis:n=4999"]) == 2
     captured = capsys.readouterr()
@@ -285,7 +284,6 @@ def test_cmd_verify_refuses_sample_below_one_before_building(monkeypatch, capsys
     def no_build(params):
         pytest.fail(f"built {params} before refusing --sample {sample}")
 
-    monkeypatch.setattr(cli, "build_schedule", no_build)
     monkeypatch.setattr(protocols, "build_schedule", no_build)
     assert main(["verify", "todis:n=1201", "todis:n=1199", "--sample", str(sample)]) == 2
     captured = capsys.readouterr()
@@ -297,22 +295,51 @@ def _no_build(params):
     pytest.fail(f"built {params} past the wake-slot cap")
 
 
+_LISTING_CAP = "would list over 10000000 slots"
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["schedule", "todis:n=5001", "--limit", "100"],
-        ["verify", "todis:n=5001", "hedis:n=4", "--sample", "5"],
-        ["schedule", "searchlight:t=2,i=30"],
+        (["schedule", "todis:n=5001", "--limit", "0"], _LISTING_CAP),
+        (["verify", "todis:n=5001", "hedis:n=4", "--sample", "5"],
+         "wake slots per period, above the build cap of 10000000"),
+        (["schedule", "searchlight:t=2,i=30", "--limit", "0"], _LISTING_CAP),
     ],
     ids=["schedule-todis", "verify-todis", "schedule-searchlight"],
 )
-def test_cmd_refuses_oversize_schedule_before_building(argv, monkeypatch, capsys):
+def test_cmd_refuses_oversize_schedule_before_building(argv, message, monkeypatch, capsys):
     monkeypatch.setattr(TodisParams, "build", _no_build)
     monkeypatch.setattr(SearchlightParams, "build", _no_build)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "wake slots per period, above the build cap of 10000000" in captured.err
+    assert captured.err.count("\n") == 1 and message in captured.err
+
+
+def test_cmd_schedule_lists_slots_past_the_build_cap_without_building(monkeypatch, capsys):
+    monkeypatch.setattr(protocols, "build_schedule", _no_build)
+    monkeypatch.setattr(TodisParams, "build", _no_build)
+    assert main(["schedule", "todis:n=5001", "--limit", "100"]) == 0
+    out = capsys.readouterr().out
+    assert "period=125074994997\n" in out
+    assert out.endswith("limit=100\nactive=0\n")
+
+
+def test_cmd_schedule_refuses_period_past_the_string_limit(capsys):
+    n = 10**1500 + 1
+    assert main(["schedule", f"todis:n={n}", "--limit", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: todis period passes the integer string limit\n"
+
+
+@pytest.mark.parametrize("max_work", [0, -1])
+def test_cmd_verify_refuses_max_work_below_one(capsys, max_work):
+    assert main(["verify", "hedis:n=4", "hedis:n=6", "--max-work", str(max_work)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: max_work must be >= 1, got {max_work}\n"
 
 
 def test_cmd_verify_answers_divisibility_pair_past_the_build_cap(monkeypatch, capsys):

@@ -276,6 +276,62 @@ def test_divisor_and_parameter_sets():
     assert SearchlightParams(2, 3).rendezvous is None
 
 
+def _reference_awake(params, t):
+    """Whether slot t wakes, from the class docstring alone (not from ``ranges()``)."""
+    match params:
+        case DiscoParams(p1, p2):
+            return t % p1 == 0 or t % p2 == 0
+        case TodisParams(n):
+            return any(t % x == 0 for x in (n - 2, n, n + 2))
+        case UConnectParams(p):
+            return t % p == 0 or t < (p + 1) / 2
+        case SearchlightParams(base, i):
+            # sub-period j wakes at its anchor and 1 + j past it
+            j, offset = divmod(t, base**i)
+            return offset in (0, 1 + j)
+        case HedisParams(n):
+            return t % n == 0 or (t % (n + 1) == 1 and (t - 1) // (n + 1) <= n - 2)
+
+
+_RANGE_GRID = [
+    *(DiscoParams(a, b) for a, b in [(2, 3), (3, 5), (5, 7), (7, 11)]),
+    *(TodisParams(n) for n in (5, 7, 9, 11)),
+    *(UConnectParams(p) for p in (3, 5, 7, 11)),
+    *(SearchlightParams(t, i) for t, i in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]),
+    *(HedisParams(n) for n in (3, 4, 5, 6, 9)),
+]
+
+
+@pytest.mark.parametrize("params", _RANGE_GRID, ids=format_params)
+def test_ranges_match_the_documented_slots(params):
+    s = params.build()
+    assert s.period == params.period
+    assert s.active == {t for t in range(params.period) if _reference_awake(params, t)}
+    for stop in (1, params.period // 2, params.period, params.period + 7):
+        assert params.wake_slots(stop) == sorted(t for t in s.active if t < stop)
+    match params:
+        case DiscoParams(p1, p2):
+            assert params.divisors == {p1, p2}
+        case TodisParams(n):
+            assert params.divisors == {n - 2, n, n + 2}
+        case _:
+            assert params.divisors is None
+
+
+@pytest.mark.parametrize("cls", PROTOCOLS.values(), ids=PROTOCOLS)
+def test_each_protocol_is_described_by_its_ranges_alone(cls):
+    assert "ranges" in vars(cls)
+    assert "build" not in vars(cls) and "divisors" not in vars(cls)
+
+
+def test_wake_slots_cap_counts_the_ranges_cut_at_stop(monkeypatch):
+    # hedis n=4 wakes at 0, 4, 8 and 1, 6, 11: three slots below 5, six below 12
+    monkeypatch.setattr(protocols, "MAX_WAKE_SLOTS", 3)
+    with pytest.raises(ParameterError, match="would list over 3 slots"):
+        HedisParams(4).wake_slots(12)
+    assert HedisParams(4).wake_slots(5) == [0, 1, 4]
+
+
 def test_todis_discovery_bounded_for_small_pairs():
     # Every drift between two triple-odd schedules meets within the smallest
     # co-prime cross product.  Exhaustive over drifts for the smallest pairs.
