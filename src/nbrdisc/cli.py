@@ -1,9 +1,4 @@
-"""Command-line front end.
-
-Subcommands: ``schedule`` (inspect a schedule), ``params`` (duty-cycle ->
-parameter selection), ``granularity`` (relative-error sweeps as CSV),
-``verify`` (drift verification for a schedule pair) and ``simulate``
-(seeded latency trials with trial and CDF CSVs).
+"""Command-line front end: one ``cmd_*`` function per subcommand.
 
 Every output file starts with a metadata comment block carrying the exact
 command line, the seed and the library version; reruns of the same

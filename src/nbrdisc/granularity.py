@@ -60,15 +60,13 @@ def relative_error(
     """Select the best parameter for ``delta`` and report the exact error."""
     delta = as_fraction(delta)
     _, params, achieved = select_params(protocol, delta, options)
-    (n, d), (a, b) = delta.as_integer_ratio(), achieved.as_integer_ratio()
-    err = Fraction(abs(a * d - n * b), n * b)
-    return GranularityRecord(protocol, delta, achieved, err, params)
+    return _records(protocol, [delta], [delta.as_integer_ratio()], params, achieved)[0]
 
 
-def _records(protocol: str, deltas, pairs, rec: GranularityRecord) -> list[GranularityRecord]:
-    """:func:`relative_error`'s records of ``deltas`` (integer ratios ``pairs``) at ``rec``."""
-    achieved, params, new = rec.achieved_delta, rec.params, tuple.__new__
+def _records(protocol: str, deltas, pairs, params, achieved: Fraction) -> list[GranularityRecord]:
+    """The records of ``deltas`` (integer ratios ``pairs``) that chose ``params``."""
     a, b = achieved.as_integer_ratio()
+    new = tuple.__new__
     return [
         new(GranularityRecord,  # as GranularityRecord._make does: no constructor frame
             (protocol, f, achieved, Fraction(abs(a * d - n * b), n * b), params, None))
@@ -122,7 +120,9 @@ def sweep(
             i, j = ranges.pop()
             lo, hi = column[i], column[j]
             if lo.error is None and lo.params == hi.params:  # so hi.error is None
-                column[i + 1 : j] = _records(protocol, ordered[i + 1 : j], pairs[i + 1 : j], lo)
+                column[i + 1 : j] = _records(
+                    protocol, ordered[i + 1 : j], pairs[i + 1 : j], lo.params, lo.achieved_delta
+                )
             elif j - i > 1:
                 m = (i + j) // 2
                 column[m] = _cell(protocol, ordered[m], options)

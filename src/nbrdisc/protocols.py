@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import re
 import sys
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from decimal import Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
@@ -61,18 +61,41 @@ class ScanBudgetError(RuntimeError):
     """Exhaustive drift verification exceeded its work guard."""
 
 
+# Miller-Rabin with the first k of these primes as bases decides primality
+# exactly below the k-th bound (OEIS A014233; Sorenson and Webster, 2015).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_EXACT_BELOW = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321,
+    341550071728321, 3825123056546413051, 3825123056546413051, 3825123056546413051,
+    318665857834031151167461, 3317044064679887385961981,
+)
+PRIME_TEST_LIMIT = _EXACT_BELOW[-1]
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; raises :class:`ParameterError` from
+    :data:`PRIME_TEST_LIMIT` up, where its bases stop being exact."""
+    if n >= PRIME_TEST_LIMIT:
+        raise ParameterError(
+            f"{_text(n)} is too large to test for primality (limit {PRIME_TEST_LIMIT})"
+        )
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for p in _PRIME_BASES:
+        if n % p == 0:
+            return n == p
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s with d odd
+    d = (n - 1) >> s
+    for a in _PRIME_BASES[: bisect_right(_EXACT_BELOW, n) + 1]:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -132,7 +155,9 @@ def coprimality_schedule(divisors: Iterable[int]) -> Schedule:
     """Divisibility schedule: slot t is active iff some divisor divides t.
 
     The period is the lcm of the divisors; the duty cycle follows the
-    inclusion-exclusion sum over the divisor subsets.
+    inclusion-exclusion sum over the divisor subsets.  Raises
+    :class:`ParameterError`, before building anything, when the upper bound
+    sum(period // d) on the wake slots passes :data:`MAX_WAKE_SLOTS`.
     """
     ds = sorted(set(divisors))
     if not ds:
@@ -140,6 +165,12 @@ def coprimality_schedule(divisors: Iterable[int]) -> Schedule:
     if ds[0] < 1:
         raise ValueError(f"divisors must be positive, got {ds[0]}")
     period = math.lcm(*ds)
+    bound = sum(period // d for d in ds)
+    if bound > MAX_WAKE_SLOTS:
+        raise ParameterError(
+            f"coprimality schedule has up to {_text(bound)} wake slots per period "
+            f"(the sum of period // d), above the build cap of {MAX_WAKE_SLOTS}"
+        )
     return Schedule(period, frozenset().union(*(range(0, period, d) for d in ds)))
 
 
@@ -153,15 +184,12 @@ def _odd_primes() -> tuple[int, ...]:
     return _prime_pool()[1:]
 
 
-def _closest(
-    keys: Sequence, ratio: Callable, delta: Fraction, start: int = 0, *, tie_to_later: bool = False
-):
+def _closest(keys: Sequence, ratio: Callable, delta: Fraction, *, tie_to_later: bool = False):
     """The key whose duty cycle ``ratio(key)`` lies closest to ``delta``.
 
-    ``keys`` must be ordered by strictly falling duty.  Gallops outward from
-    ``keys[start]`` (clamped into range) to bracket the first key at or below
-    ``delta``, bisects inside the bracket and compares that key with the one
-    before it, exactly and in integers; a tie goes to the earlier key unless
+    ``keys`` must be ordered by strictly falling duty.  Bisects for the
+    first key at or below ``delta`` and compares it with the one before it,
+    exactly and in integers; a tie goes to the earlier key unless
     ``tie_to_later``.
     """
     num, den = delta.numerator, delta.denominator
@@ -170,20 +198,7 @@ def _closest(
         a, b = ratio(key)
         return a * den <= num * b
 
-    n, step = len(keys), 1
-    lo = hi = min(max(start, 0), n - 1)
-    # widen until keys[lo] lies above delta (or lo is -1) and keys[hi] at or below (or hi is n)
-    if at_or_below(keys[hi]):
-        lo = hi - 1
-        while lo >= 0 and at_or_below(keys[lo]):
-            hi, step = lo, 2 * step
-            lo = max(hi - step, -1)
-    else:
-        hi = lo + 1
-        while hi < n and not at_or_below(keys[hi]):
-            lo, step = hi, 2 * step
-            hi = min(lo + step, n)
-    i = bisect_left(keys, True, lo + 1, hi, key=at_or_below)
+    n, i = len(keys), bisect_left(keys, True, key=at_or_below)
     if i == 0 or i == n:
         return keys[min(i, n - 1)]
     (a0, b0), (a1, b1) = ratio(keys[i - 1]), ratio(keys[i])
@@ -286,12 +301,12 @@ class DiscoParams(ProtocolParams):
     @classmethod
     def pick(cls, delta: Fraction, options: SelectionOptions) -> tuple[int, int]:
         # disco runs balanced: each node pairs a prime with the next one, so
-        # the achieved duty cycle is roughly 2/p1 and the granularity is
-        # limited by the prime gaps.  Ties go to the larger pair.
+        # the granularity is limited by the prime gaps.  Ties go to the
+        # larger pair.
         primes = _prime_pool()
         i = _closest(
             range(len(primes) - 1), lambda i: cls.ratio(primes[i], primes[i + 1]), delta,
-            bisect_left(primes, 2 * delta.denominator // delta.numerator), tie_to_later=True,
+            tie_to_later=True,
         )
         return primes[i], primes[i + 1]
 
@@ -328,10 +343,7 @@ class UConnectParams(ProtocolParams):
 
     @classmethod
     def pick(cls, delta: Fraction, options: SelectionOptions) -> tuple[int]:
-        # the duty cycle is roughly 3/(2p)
-        primes = _odd_primes()
-        start = bisect_left(primes, 3 * delta.denominator // (2 * delta.numerator))
-        return (_closest(primes, cls.ratio, delta, start),)
+        return (_closest(_odd_primes(), cls.ratio, delta),)
 
 
 class SearchlightParams(ProtocolParams):
@@ -368,12 +380,9 @@ class SearchlightParams(ProtocolParams):
 
     @classmethod
     def pick(cls, delta: Fraction, options: SelectionOptions) -> tuple[int, int]:
-        # t**i >= 2**i > 2/delta once i reaches the bit length of 2/delta;
-        # the closest i is near log_t(2/delta) ~ top / log2(t), and
-        # t.bit_length() - 1 stands in for log2(t)
+        # t**i >= 2**i > 2/delta once i reaches the bit length of 2/delta
         t, top = options.searchlight_t, (2 * delta.denominator // delta.numerator).bit_length()
-        start = (top - 1) // (t.bit_length() - 1)
-        return t, _closest(range(1, top + 2), lambda i: cls.ratio(t, i), delta, start)
+        return t, _closest(range(1, top + 2), lambda i: cls.ratio(t, i), delta)
 
 
 class HedisParams(ProtocolParams):
@@ -437,9 +446,7 @@ class TodisParams(ProtocolParams):
 
     @classmethod
     def pick(cls, delta: Fraction, options: SelectionOptions) -> tuple[int]:
-        # the duty cycle is roughly 3/n
-        start = (3 * delta.denominator // delta.numerator - 5) // 2
-        return (_closest(range(5, options.todis_max_n + 1, 2), cls.ratio, delta, start),)
+        return (_closest(range(5, options.todis_max_n + 1, 2), cls.ratio, delta),)
 
 
 PROTOCOLS: dict[str, type[ProtocolParams]] = {

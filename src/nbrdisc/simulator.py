@@ -2,31 +2,15 @@
 
 Given two wake-up schedules and an integer clock drift d, a discovery slot
 is the first global slot t (on node a's clock) in which a is awake and b is
-awake at its local slot t + d.  If the pair is ever going to meet, it meets
-inside the joint hyperperiod lcm(T_a, T_b), so that is the default search
-horizon.
+awake at its local slot t + d.  Time zero is slot 0 of a's period, so
+swapping the nodes can change the answer.  If the pair is ever going to meet,
+it meets inside the joint hyperperiod lcm(T_a, T_b), so that is the default
+search horizon.
 
-One walk answers every drift question on built schedules.  b's pattern
-under drift d, and so the first meeting, depends only on the class
-d mod T_b; the walk visits a's wake slots in time order and settles each
-drift class it is asked for at the first slot where that class meets.  A
-single drift is a one-class walk; sampled drifts and latency trials ask for
-the classes of their drifts, and exhaustive verification asks for all T_b.
-
-The analytic engine is the exact fast path for pure divisibility schedules,
-whose hyperperiods can make any walk infeasible: for every cross pair
-(x, y) of the two divisor sets, with g = gcd(x, y), it solves t = 0
-(mod x), t = -g (mod y) once per node pair; a drift d then meets on that
-pair only if g divides d, at d/g times that solution modulo lcm(x, y).
-That slot depends on d only through d mod y, so each of b's divisors y
-keeps one table over the residues asked, holding the earliest slot over a's
-divisors, and a drift's answer is the smallest of its lookups.
-
-One function picks the engine for a node pair, each node a schedule or
-parameters: the analytic one for two divisor sets, building nothing, else
-the walk.  On it sit exhaustive/sampled drift verification, seeded
-Monte-Carlo latency trials (drifts drawn per-trial from a counter-based
-generator, so results are independent of evaluation order), and CDFs.
+:func:`_drift_slots` picks the engine for each node pair: the analytic one
+(:func:`_analytic_latency`) for two divisor sets, else the walk over built
+schedules (:func:`_sweep`).  Drift verification, seeded latency trials and
+CDFs sit on top; identical inputs give byte-identical results.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -110,6 +111,40 @@ def test_cmd_schedule_disco_limit(capsys):
 def test_cmd_schedule_bad_spec_names_token(capsys):
     assert main(["schedule", "frisbee:n=4"]) == 2
     assert "frisbee" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["granularity", "--sweep", "reciprocal:x"], "bad reciprocal count 'x'"),
+        (["granularity", "--sweep", "reciprocal:0"], "reciprocal count must be >= 1, got 0"),
+        (["granularity", "--sweep", "percent:5"], "bad percent range '5' (expected a..b)"),
+        (["granularity", "--sweep", "percent:a..b"], "bad percent range 'a..b'"),
+        (["granularity", "--sweep", "percent:0..101"], "percent range '0..101' outside 1..100"),
+        (["granularity", "--protocols", ",", "--sweep", "list:0.5"], "empty protocol list"),
+        (["schedule", "disco:"], "missing parameters after 'disco:'"),
+        (["schedule", "disco:p1"], "bad parameter token 'p1' (expected key=value)"),
+        (["schedule", "disco:p1=3,p1=5"], "duplicate parameter 'p1'"),
+        (["schedule", "foo:n=3"], "unknown protocol 'foo'"),
+        (["schedule", "disco:p1=1,p2=3"], "disco parameter 1 is not prime"),
+        (["params", "--delta", "5%", "--searchlight-t", "1"], "searchlight_t must be >= 2, got 1"),
+    ],
+)
+def test_cmd_refuses_bad_input_with_one_error_line(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_cmd_schedule_tests_a_large_disco_prime_quickly(capsys):
+    start = time.perf_counter()
+    assert main(["schedule", "disco:p1=10000000000000061,p2=5", "--limit", "10"]) == 0
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr().out.endswith(
+        "params=disco:p1=10000000000000061,p2=5\nperiod=50000000000000305\n"
+        "duty_cycle=2000000000000013/10000000000000061 (20%)\nlimit=10\nactive=0,5\n"
+    )
 
 
 def test_cmd_params(capsys):

@@ -63,6 +63,21 @@ def test_coprimality_schedule_rejects_bad_input():
         coprimality_schedule({0, 3})
 
 
+def test_coprimality_schedule_refuses_slots_past_the_build_cap(monkeypatch):
+    # {2, 29}: 29 + 2 = 31 slots by the bound sum(period // d), 30 in fact (slot 0 twice)
+    monkeypatch.setattr(protocols, "MAX_WAKE_SLOTS", 30)
+    with pytest.raises(ParameterError, match=r"^coprimality schedule has up to 31 wake "
+                       r"slots per period \(the sum of period // d\), above the build cap of 30$"):
+        coprimality_schedule([2, 29])
+    monkeypatch.setattr(protocols, "MAX_WAKE_SLOTS", 31)
+    assert len(coprimality_schedule([2, 29]).active) == 30
+
+
+def test_coprimality_schedule_refuses_a_huge_period_before_building():
+    with pytest.raises(ParameterError, match="up to 1000000009 wake slots per period"):
+        coprimality_schedule([2, 10**9 + 7])
+
+
 def _inclusion_exclusion_duty(divisors):
     total = Fraction(0)
     for size in range(1, len(divisors) + 1):
@@ -632,3 +647,44 @@ def test_notation_errors_name_the_token():
         parse_params("disco:p1=3")
     with pytest.raises(NotationError, match="k"):
         parse_params("hedis:k=4")
+
+
+# --------------------------------------------------------------------------
+# Primality of disco and uconnect parameters
+# --------------------------------------------------------------------------
+
+
+def test_is_prime_agrees_with_the_sieve():
+    assert [n for n in range(-3, 10**5 + 1) if protocols._is_prime(n)] == primes_up_to(10**5)
+
+
+@pytest.mark.parametrize(
+    "n, bases",
+    [(2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4), (2152302898747, 5),
+     (3474749660383, 6), (341550071728321, 8), (3825123056546413051, 11),
+     (318665857834031151167461, 12)],
+)
+def test_is_prime_rejects_strong_pseudoprimes_to_the_first_prime_bases(n, bases):
+    # n is a strong pseudoprime to each of the first ``bases`` primes
+    def strong_probable_prime(a):
+        s = ((n - 1) & (1 - n)).bit_length() - 1
+        x = pow(a, (n - 1) >> s, n)
+        return x in (1, n - 1) or any(pow(x, 2**r, n) == n - 1 for r in range(1, s))
+
+    assert all(map(strong_probable_prime, primes_up_to(41)[:bases]))
+    assert not protocols._is_prime(n)
+
+
+def test_is_prime_accepts_large_primes():
+    primes = [2**31 - 1, 10**12 + 39, 10**16 + 61, 2**61 - 1, 10**18 + 3]
+    assert all(map(protocols._is_prime, primes))
+    assert not protocols._is_prime((10**6 + 3) * (10**12 + 39))
+
+
+@pytest.mark.parametrize("cls", [DiscoParams, UConnectParams])
+def test_prime_parameters_past_the_exact_test_are_refused(cls):
+    limit = protocols.PRIME_TEST_LIMIT
+    assert limit == 3317044064679887385961981
+    with pytest.raises(ParameterError, match=f"^{limit} is too large to test for primality "
+                       rf"\(limit {limit}\)$"):
+        cls(*[limit, 3][: len(cls.__match_args__)])

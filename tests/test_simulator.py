@@ -18,8 +18,10 @@ from nbrdisc.protocols import (
     DiscoParams,
     HedisParams,
     SearchlightParams,
+    SelectionOptions,
     TodisParams,
     UConnectParams,
+    as_fraction,
     build_schedule,
     coprimality_schedule,
     select_params,
@@ -640,3 +642,33 @@ def test_csv_rows():
     assert rows == ["trial,drift,latency,discovered", "0,5,12,1", "1,9,,0"]
     rows = list(cdf_csv_rows(dist))
     assert rows == ["latency,fraction", "12,0.5"]
+
+
+_HEDIS = select_params("hedis", Fraction(1, 20))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: select_params("foo", Fraction(1, 20)), "unknown protocol 'foo'"),
+        (lambda: SelectionOptions(todis_max_n=3), "todis_max_n must be >= 5, got 3"),
+        (lambda: solve_congruence_pair(0, 0, 1, 3), "moduli must be positive, got (0, 3)"),
+        (lambda: worst_case_bound([], [3]), "worst_case_bound needs two non-empty sets"),
+        (lambda: first_discovery(DriftedPair(S_A, S_B, 0), horizon=0),
+         "horizon must be >= 1, got 0"),
+        (lambda: trial_drift(1, 0, 0), "bound must be >= 1, got 0"),
+        (lambda: latency_trials(_HEDIS, _HEDIS, trials=0, seed=1), "trials must be >= 1, got 0"),
+        (lambda: cdf(LatencyDistribution((), (), ()), [1]), "distribution has no trials"),
+    ],
+    ids=["select-protocol", "todis-max-n", "modulus", "bound-sets", "horizon", "drift-bound",
+         "trials", "cdf-empty"],
+)
+def test_library_refuses_bad_input(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_as_fraction_reads_ints_and_strings():
+    assert as_fraction(3) == Fraction(3) and type(as_fraction(3)) is Fraction
+    assert as_fraction("1/20") == Fraction(1, 20)
