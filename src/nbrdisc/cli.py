@@ -60,7 +60,7 @@ def parse_delta(text: str) -> Fraction:
     token = text.strip()
     num, _, den = token.partition("/")
     try:
-        if num.isascii() and num.isdigit() and den.isascii() and den.isdigit():
+        if num.isdigit() and den.isdigit():
             return Fraction(int(num), int(den))  # exact, as Fraction(token) reads it
         if token.endswith("%"):
             return Fraction(token[:-1]) / 100

@@ -60,17 +60,16 @@ def relative_error(
     """Select the best parameter for ``delta`` and report the exact error."""
     delta = as_fraction(delta)
     _, params, achieved = select_params(protocol, delta, options)
-    return _records(protocol, [delta], [delta.as_integer_ratio()], params, achieved)[0]
+    return _records(protocol, [delta], params, achieved)[0]
 
 
-def _records(protocol: str, deltas, pairs, params, achieved: Fraction) -> list[GranularityRecord]:
-    """The records of ``deltas`` (integer ratios ``pairs``) that chose ``params``."""
+def _records(protocol: str, deltas, params, achieved: Fraction) -> list[GranularityRecord]:
+    """The records of ``deltas`` that chose ``params``."""
     a, b = achieved.as_integer_ratio()
-    new = tuple.__new__
     return [
-        new(GranularityRecord,  # as GranularityRecord._make does: no constructor frame
-            (protocol, f, achieved, Fraction(abs(a * d - n * b), n * b), params, None))
-        for f, (n, d) in zip(deltas, pairs)
+        GranularityRecord(protocol, f, achieved, Fraction(abs(a * d - n * b), n * b), params)
+        for f in deltas
+        for n, d in (f.as_integer_ratio(),)
     ]
 
 
@@ -108,7 +107,6 @@ def sweep(
     ordered = sorted(map(as_fraction, deltas), key=key)
     if not protocols or not ordered:
         raise ValueError("sweep needs at least one protocol and one duty cycle")
-    pairs = [f.as_integer_ratio() for f in ordered]
     records: list[GranularityRecord] = []
     last = len(ordered) - 1
     for protocol in protocols:
@@ -121,7 +119,7 @@ def sweep(
             lo, hi = column[i], column[j]
             if lo.error is None and lo.params == hi.params:  # so hi.error is None
                 column[i + 1 : j] = _records(
-                    protocol, ordered[i + 1 : j], pairs[i + 1 : j], lo.params, lo.achieved_delta
+                    protocol, ordered[i + 1 : j], lo.params, lo.achieved_delta
                 )
             elif j - i > 1:
                 m = (i + j) // 2
@@ -129,12 +127,6 @@ def sweep(
                 ranges += (i, m), (m, j)
         records += column
     return records
-
-
-def _f(x: float) -> float:
-    """todis duty cycle extended to real arguments."""
-    num, den = TodisParams.ratio(x)
-    return num / den
 
 
 def todis_error_upper_bound(delta) -> float:
@@ -180,7 +172,8 @@ def todis_error_upper_bound(delta) -> float:
         if i > 40 and hi - lo <= 1e-13 * hi:  # hi > 2
             break
     k = 0.5 * (lo + hi)
-    return max((_f(2.0 * k - 1.0) - d) / d, 0.0)
+    num, den = TodisParams.ratio(2.0 * k - 1.0)  # todis duty cycle at a real n
+    return max((num / den - d) / d, 0.0)
 
 
 # --------------------------------------------------------------------------
@@ -217,7 +210,5 @@ def granularity_csv_rows(records: Iterable[GranularityRecord]) -> Iterable[str]:
             last_achieved, achieved_text = achieved, format_rational(achieved)
         if params is not last_params:
             last_params, params_text = params, format_params(params)
-        n, d = error.as_integer_ratio()
-        x = n / d if n < d else 0.0  # a selected cell's error is below 1: no overflow
-        text = f"{x:.12g}" if x or not n else format_rational(error)
+        text = format_rational(error)
         yield f'{protocol},{desired},{achieved_text},{text},"{params_text}",{bound}'

@@ -41,7 +41,8 @@ def _fraction_text(text):
      "7" * 4301 + "/9", "0.05", "5%"],
 )
 def test_parse_delta_fast_path_matches_fraction_text(token):
-    # ASCII p/q tokens skip Fraction's parser; every token reads as Fraction(str) reads it
+    # p/q tokens of digits (any Unicode isdigit) skip Fraction's parser and go through int();
+    # every token reads as Fraction(str) reads it, value or error
     try:
         got = parse_delta(token)
     except NotationError as exc:

@@ -428,10 +428,14 @@ def test_todis_exhaustive_drifts_within_bound():
 def test_hedis_same_parity_exhaustive_guarantee():
     pairs = [(n, m) for n in range(3, 31) for m in range(3, 31) if n % 2 == m % 2]
     assert len(pairs) == 392
+    worst = []
     for n, m in pairs:
         result = verify_all_drifts(HedisParams(n).build(), HedisParams(m).build())
         assert result.all_discover, (n, m)
         assert result.mean_latency <= 4 * n * m, (n, m)
+        assert 100 * result.max_latency <= 227 * n * m, (n, m)
+        worst.append((Fraction(result.max_latency, n * m), n, m))
+    assert max(worst) == (Fraction(633, 20 * 14), 20, 14)
 
 
 def test_hedis_mixed_parity_exhaustive_discovery():
@@ -440,9 +444,13 @@ def test_hedis_mixed_parity_exhaustive_discovery():
     schedules = {n: HedisParams(n).build() for n in range(3, 41)}
     pairs = [(n, m) for n in schedules for m in schedules if n < m and n % 2 != m % 2]
     assert len(pairs) == 361
+    worst = []
     for n, m in pairs:
         result = verify_all_drifts(schedules[n], schedules[m])
         assert result.exhaustive and result.all_discover, (n, m)
+        assert 100 * result.max_latency <= 267 * n * m, (n, m)
+        worst.append((Fraction(result.max_latency, n * m), n, m))
+    assert max(worst) == (Fraction(1055, 12 * 33), 12, 33)
 
 
 def test_uconnect_exhaustive_guarantee():
@@ -475,9 +483,21 @@ def test_searchlight_exhaustive_coverage():
     schedules = {i: SearchlightParams(2, i).build() for i in range(1, 8)}
     pairs = [(i, j) for i in schedules for j in schedules if i <= j]
     assert len(pairs) == 28
+    maxima = {}
     for i, j in pairs:
         result = verify_all_drifts(schedules[i], schedules[j])
         assert result.exhaustive and result.all_discover, (i, j)
+        assert result.max_latency < 2**i * 2**j, (i, j)
+        maxima[i, j] = result.max_latency
+    assert maxima == {
+        (1, 1): 0, (1, 2): 2, (1, 3): 6, (1, 4): 14, (1, 5): 30, (1, 6): 62, (1, 7): 126,
+        (2, 2): 4, (2, 3): 16, (2, 4): 44, (2, 5): 92, (2, 6): 188, (2, 7): 380,
+        (3, 3): 24, (3, 4): 120, (3, 5): 240, (3, 6): 424, (3, 7): 872,
+        (4, 4): 112, (4, 5): 496, (4, 6): 992, (4, 7): 1984,
+        (5, 5): 480, (5, 6): 2016, (5, 7): 4032,
+        (6, 6): 1984, (6, 7): 8128,
+        (7, 7): 8064,
+    }
 
 
 def test_latency_trials_builds_each_grid_schedule_once(monkeypatch):
