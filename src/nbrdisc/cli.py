@@ -16,6 +16,8 @@ from typing import Iterable, Optional, Sequence
 
 from . import __version__
 from .protocols import (
+    DEFAULT_OPTIONS,
+    MAX_WORK,
     PROTOCOL_ORDER,
     NotationError,
     ParameterError,
@@ -103,9 +105,11 @@ def parse_protocols(text: str) -> list[str]:
     if text.strip() == "all":
         return list(PROTOCOL_ORDER)
     names = [tok.strip() for tok in text.split(",") if tok.strip()]
-    for name in names:
+    for i, name in enumerate(names):
         if name not in PROTOCOL_ORDER:
             raise NotationError(f"unknown protocol '{name}'")
+        if name in names[:i]:
+            raise NotationError(f"duplicate protocol '{name}'")
     if not names:
         raise NotationError("empty protocol list")
     return names
@@ -269,14 +273,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--parity",
             choices=("even", "odd"),
-            default="even",
-            help="deployment-wide hedis parameter parity (default even)",
+            default=DEFAULT_OPTIONS.hedis_parity,
+            help="deployment-wide hedis parameter parity (default %(default)s)",
         )
         p.add_argument(
             "--searchlight-t",
             type=int,
-            default=2,
-            help="searchlight base stride t (default 2)",
+            default=DEFAULT_OPTIONS.searchlight_t,
+            help="searchlight base stride t (default %(default)s)",
         )
 
     p = sub.add_parser("schedule", help="print period, duty cycle and active slots")
@@ -309,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec_a", help="parameter notation for node a")
     p.add_argument("spec_b", help="parameter notation for node b")
     p.add_argument("--sample", type=int, default=None, help="sampled drifts instead of exhaustive")
-    p.add_argument("--max-work", type=int, default=10**8, help="exhaustive work guard")
+    p.add_argument("--max-work", type=int, default=MAX_WORK, help="exhaustive work guard")
     common(p)
     p.set_defaults(func=cmd_verify)
 

@@ -40,9 +40,12 @@ from .schedule import Frozen, Schedule
 # periods desk-sized while comfortably covering duty cycles down to 1%.
 PRIME_POOL_LIMIT = 10_000
 
-# Largest wake-slot count that build_schedule materializes or wake_slots
-# lists; the largest selectable schedule, todis n=1201, holds about 4.3 million.
+# Largest wake-slot count, by the bound sum(len) over its ranges, that _union
+# builds; the largest selectable schedule, todis n=1201, holds about 4.3 million.
 MAX_WAKE_SLOTS = 10**7
+
+# Default work guard, in drifts or sweep probes, of exhaustive verification.
+MAX_WORK = 10**8
 
 
 class ParameterError(ValueError):
@@ -151,13 +154,22 @@ def _text(value: Fraction) -> str:
     return decimal_text(value)
 
 
+def _union(what: str, ranges: Iterable[range]) -> frozenset[int]:
+    """The union of ``ranges``; raises :class:`ParameterError`, before building
+    anything, when their lengths sum past :data:`MAX_WAKE_SLOTS` (a slot shared
+    by two ranges counts twice)."""
+    cap = MAX_WAKE_SLOTS + 1  # a slice keeps len() below sys.maxsize
+    ranges = [r[:cap] for r in ranges]
+    if sum(map(len, ranges)) > MAX_WAKE_SLOTS:
+        raise ParameterError(f"{what} has over {MAX_WAKE_SLOTS} wake slots")
+    return frozenset().union(*ranges)
+
+
 def coprimality_schedule(divisors: Iterable[int]) -> Schedule:
     """Divisibility schedule: slot t is active iff some divisor divides t.
 
     The period is the lcm of the divisors; the duty cycle follows the
-    inclusion-exclusion sum over the divisor subsets.  Raises
-    :class:`ParameterError`, before building anything, when the upper bound
-    sum(period // d) on the wake slots passes :data:`MAX_WAKE_SLOTS`.
+    inclusion-exclusion sum over the divisor subsets.  Capped by :func:`_union`.
     """
     ds = sorted(set(divisors))
     if not ds:
@@ -165,13 +177,7 @@ def coprimality_schedule(divisors: Iterable[int]) -> Schedule:
     if ds[0] < 1:
         raise ValueError(f"divisors must be positive, got {ds[0]}")
     period = math.lcm(*ds)
-    bound = sum(period // d for d in ds)
-    if bound > MAX_WAKE_SLOTS:
-        raise ParameterError(
-            f"coprimality schedule has up to {_text(bound)} wake slots per period "
-            f"(the sum of period // d), above the build cap of {MAX_WAKE_SLOTS}"
-        )
-    return Schedule(period, frozenset().union(*(range(0, period, d) for d in ds)))
+    return Schedule(period, _union("coprimality schedule", (range(0, period, d) for d in ds)))
 
 
 @lru_cache(maxsize=None)
@@ -260,17 +266,14 @@ class ProtocolParams(Frozen):
         return self.divisors
 
     def build(self) -> Schedule:
-        return Schedule(self.period, frozenset().union(*self.ranges()))
+        return Schedule(self.period, _union(format_params(self), self.ranges()))
 
     def wake_slots(self, stop: int) -> list[int]:
         """The sorted wake slots of one period below ``stop``, without building it."""
         if not _fits_str(self.period):
             raise ParameterError(f"{self.name} period passes the integer string limit")
-        cap = MAX_WAKE_SLOTS + 1  # a slice keeps len() below sys.maxsize
-        cut = [range(r.start, min(r.stop, stop), r.step)[:cap] for r in self.ranges()]
-        if sum(map(len, cut)) >= cap:
-            raise ParameterError(f"{format_params(self)} would list over {MAX_WAKE_SLOTS} slots")
-        return sorted(frozenset().union(*cut))
+        cut = (range(r.start, min(r.stop, stop), r.step) for r in self.ranges())
+        return sorted(_union(format_params(self), cut))
 
 
 class DiscoParams(ProtocolParams):
@@ -464,17 +467,7 @@ def protocol_tag(params: ProtocolParams) -> str:
 
 # The traced benchmark replay rebinds this name to time every schedule build.
 def build_schedule(params: ProtocolParams) -> Schedule:
-    """Construct the wake-up schedule for any parameter value.
-
-    Raises :class:`ParameterError`, before building anything, when the
-    schedule would hold more than :data:`MAX_WAKE_SLOTS` wake slots.
-    """
-    slots = params.duty * params.period
-    if slots > MAX_WAKE_SLOTS:
-        raise ParameterError(
-            f"{format_params(params)} has {_text(slots)} wake slots per period, "
-            f"above the build cap of {MAX_WAKE_SLOTS}"
-        )
+    """Construct the wake-up schedule for any parameter value."""
     return params.build()
 
 

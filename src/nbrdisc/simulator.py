@@ -232,7 +232,7 @@ def verify_all_drifts(
     a: Node,
     b: Node,
     *,
-    max_work: int = 10**8,
+    max_work: int = protocols.MAX_WORK,
     sample: Optional[int] = None,
     seed: int = 0,
 ) -> DriftVerification:

@@ -3,6 +3,7 @@
 import math
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,6 @@ from nbrdisc.cli import main, parse_delta, parse_protocols, parse_sweep
 from nbrdisc.protocols import (
     PROTOCOL_ORDER,
     NotationError,
-    SearchlightParams,
     SelectionOptions,
     TodisParams,
 )
@@ -83,6 +83,8 @@ def test_parse_protocols():
     assert parse_protocols("hedis,todis") == ["hedis", "todis"]
     with pytest.raises(NotationError):
         parse_protocols("hedis,frisbee")
+    with pytest.raises(NotationError, match="^duplicate protocol 'hedis'$"):
+        parse_protocols("hedis,todis,hedis")
 
 
 def test_cmd_schedule_todis_listing(capsys):
@@ -129,6 +131,8 @@ def test_cmd_schedule_bad_spec_names_token(capsys):
         (["schedule", "foo:n=3"], "unknown protocol 'foo'"),
         (["schedule", "disco:p1=1,p2=3"], "disco parameter 1 is not prime"),
         (["params", "--delta", "5%", "--searchlight-t", "1"], "searchlight_t must be >= 2, got 1"),
+        (["granularity", "--protocols", "hedis,hedis", "--sweep", "list:1/2"],
+         "duplicate protocol 'hedis'"),
     ],
 )
 def test_cmd_refuses_bad_input_with_one_error_line(argv, message, capsys):
@@ -331,26 +335,34 @@ def _no_build(params):
     pytest.fail(f"built {params} past the wake-slot cap")
 
 
-_LISTING_CAP = "would list over 10000000 slots"
+def _main_small(argv):
+    """``main(argv)``, asserting that it never held 8 MiB: 10**7 wake slots take over 280 MB."""
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        assert tracemalloc.get_traced_memory()[1] < 8 << 20
+    finally:
+        tracemalloc.stop()
+    return code
 
 
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["schedule", "todis:n=5001", "--limit", "0"], _LISTING_CAP),
+        (["schedule", "todis:n=5001", "--limit", "0"],
+         "todis:n=5001 has over 10000000 wake slots"),
         (["verify", "todis:n=5001", "hedis:n=4", "--sample", "5"],
-         "wake slots per period, above the build cap of 10000000"),
-        (["schedule", "searchlight:t=2,i=30", "--limit", "0"], _LISTING_CAP),
+         "todis:n=5001 has over 10000000 wake slots"),
+        (["schedule", "searchlight:t=2,i=30", "--limit", "0"],
+         "searchlight:t=2,i=30 has over 10000000 wake slots"),
     ],
     ids=["schedule-todis", "verify-todis", "schedule-searchlight"],
 )
-def test_cmd_refuses_oversize_schedule_before_building(argv, message, monkeypatch, capsys):
-    monkeypatch.setattr(TodisParams, "build", _no_build)
-    monkeypatch.setattr(SearchlightParams, "build", _no_build)
-    assert main(argv) == 2
+def test_cmd_refuses_oversize_schedule_before_building(argv, message, capsys):
+    assert _main_small(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.count("\n") == 1 and message in captured.err
+    assert captured.err == f"error: {message}\n"
 
 
 def test_cmd_schedule_lists_slots_past_the_build_cap_without_building(monkeypatch, capsys):
@@ -503,10 +515,9 @@ def test_cmd_simulate_reports_failed_protocol_in_row(tmp_path, capsys):
     )
 
 
-def test_cmd_simulate_reports_oversize_schedule_in_row(tmp_path, monkeypatch, capsys):
+def test_cmd_simulate_reports_oversize_schedule_in_row(tmp_path, capsys):
     # stride t = 2e7 gives searchlight 2e7 wake slots per period; hedis still runs
-    monkeypatch.setattr(SearchlightParams, "build", _no_build)
-    code = main(
+    code = _main_small(
         [
             "simulate",
             "--protocols",
@@ -526,7 +537,7 @@ def test_cmd_simulate_reports_oversize_schedule_in_row(tmp_path, monkeypatch, ca
     assert code == 1
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2
-    assert lines[0].startswith("searchlight: error:searchlight:t=20000000;i=1 has 20000000 wake")
+    assert lines[0] == "searchlight: error:searchlight:t=20000000;i=1 has over 10000000 wake slots"
     assert lines[1].startswith("hedis: node_a=hedis:n=40")
 
 

@@ -3,6 +3,7 @@
 import bisect
 import itertools
 import random
+import tracemalloc
 from decimal import Context, Decimal
 from fractions import Fraction
 
@@ -63,19 +64,14 @@ def test_coprimality_schedule_rejects_bad_input():
         coprimality_schedule({0, 3})
 
 
-def test_coprimality_schedule_refuses_slots_past_the_build_cap(monkeypatch):
-    # {2, 29}: 29 + 2 = 31 slots by the bound sum(period // d), 30 in fact (slot 0 twice)
-    monkeypatch.setattr(protocols, "MAX_WAKE_SLOTS", 30)
-    with pytest.raises(ParameterError, match=r"^coprimality schedule has up to 31 wake "
-                       r"slots per period \(the sum of period // d\), above the build cap of 30$"):
-        coprimality_schedule([2, 29])
-    monkeypatch.setattr(protocols, "MAX_WAKE_SLOTS", 31)
-    assert len(coprimality_schedule([2, 29]).active) == 30
-
-
 def test_coprimality_schedule_refuses_a_huge_period_before_building():
-    with pytest.raises(ParameterError, match="up to 1000000009 wake slots per period"):
-        coprimality_schedule([2, 10**9 + 7])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterError, match="^coprimality schedule has over 10000000 wake"):
+            coprimality_schedule([2, 10**9 + 7])
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
 
 
 def _inclusion_exclusion_duty(divisors):
@@ -339,12 +335,27 @@ def test_each_protocol_is_described_by_its_ranges_alone(cls):
     assert "build" not in vars(cls) and "divisors" not in vars(cls)
 
 
-def test_wake_slots_cap_counts_the_ranges_cut_at_stop(monkeypatch):
-    # hedis n=4 wakes at 0, 4, 8 and 1, 6, 11: three slots below 5, six below 12
-    monkeypatch.setattr(protocols, "MAX_WAKE_SLOTS", 3)
-    with pytest.raises(ParameterError, match="would list over 3 slots"):
-        HedisParams(4).wake_slots(12)
-    assert HedisParams(4).wake_slots(5) == [0, 1, 4]
+# hedis n=4 wakes at 0, 4, 8 and 1, 6, 11: three slots below 5, six below 12.
+# {2, 29} wakes at 0, 2, ..., 56 and 0, 29: 31 by the bound sum(len), 30 in fact.
+_HEDIS_4 = [0, 1, 4, 6, 8, 11]
+_CAPPED = {
+    "build": ("hedis:n=4", 6, lambda: HedisParams(4).build().active, _HEDIS_4),
+    "build_schedule": ("hedis:n=4", 6, lambda: build_schedule(HedisParams(4)).active, _HEDIS_4),
+    "wake_slots": ("hedis:n=4", 6, lambda: HedisParams(4).wake_slots(12), _HEDIS_4),
+    "wake_slots-cut": ("hedis:n=4", 3, lambda: HedisParams(4).wake_slots(5), [0, 1, 4]),
+    "coprimality_schedule": ("coprimality schedule", 31,
+                             lambda: coprimality_schedule([2, 29]).active,
+                             [*range(0, 58, 2), 29]),
+}
+
+
+@pytest.mark.parametrize("what, bound, make, slots", _CAPPED.values(), ids=_CAPPED)
+def test_one_cap_counts_the_ranges_of_every_build(what, bound, make, slots, monkeypatch):
+    monkeypatch.setattr(protocols, "MAX_WAKE_SLOTS", bound - 1)
+    with pytest.raises(ParameterError, match=f"^{what} has over {bound - 1} wake slots$"):
+        make()
+    monkeypatch.setattr(protocols, "MAX_WAKE_SLOTS", bound)
+    assert sorted(make()) == sorted(slots)
 
 
 def test_todis_discovery_bounded_for_small_pairs():
