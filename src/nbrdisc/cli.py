@@ -237,8 +237,7 @@ def cmd_simulate(args: argparse.Namespace, argv: Sequence[str]) -> int:
             str(out_dir / f"{protocol}_trials.csv"), trials_csv_rows(dist), argv, args.seed
         )
         _write_lines(str(out_dir / f"{protocol}_cdf.csv"), cdf_csv_rows(dist), argv, args.seed)
-        set_a, set_b = cfg_a.params.rendezvous, cfg_b.params.rendezvous
-        value = None if set_a is None or set_b is None else worst_case_bound(set_a, set_b)
+        value = worst_case_bound(cfg_a.params.rendezvous, cfg_b.params.rendezvous)
         bound = "" if value is None else f" bound={value}"
         peak = max(dist.latencies) if dist.latencies else ""
         print(

@@ -241,11 +241,11 @@ class ProtocolParams(Frozen):
     (numerator, denominator) and the classmethod ``pick(delta, options)``
     giving the field values whose duty cycle lies closest to ``delta``.
     ``duty`` is the exact duty cycle from ``ratio``.  From ``ranges()`` come
-    ``build()``, ``wake_slots(stop)``, capped at :data:`MAX_WAKE_SLOTS`, and
-    ``divisors``, the steps if each range is ``range(0, period, x)`` and None
-    for grid schedules (uconnect's half-row makes it one, although it
-    carries a prime); ``rendezvous``, the integer set entering the
-    co-primality rendezvous bound, equals ``divisors`` unless overridden.
+    ``build()`` and ``wake_slots(stop)``, capped at :data:`MAX_WAKE_SLOTS`,
+    and ``rendezvous``, the steps x of the anchor ranges, those equal to
+    ``range(0, period, x)``: two nodes with co-prime anchor steps x, y meet
+    within x*y slots from any start.  ``divisors`` is that set when every
+    range is an anchor (disco and todis), else None.
     """
 
     __slots__ = ()
@@ -255,15 +255,17 @@ class ProtocolParams(Frozen):
     def duty(self) -> Fraction:
         return Fraction(*self.ratio(*self._values()))
 
+    def _is_anchor(self, r: range) -> bool:
+        return r == range(0, self.period, r.step)
+
+    @property
+    def rendezvous(self) -> frozenset[int]:
+        return frozenset(r.step for r in self.ranges() if self._is_anchor(r))
+
     @property
     def divisors(self) -> Optional[frozenset[int]]:
         ranges = self.ranges()
-        pure = all(r.start == 0 and r.stop == self.period for r in ranges)
-        return frozenset(r.step for r in ranges) if pure else None
-
-    @property
-    def rendezvous(self) -> Optional[frozenset[int]]:
-        return self.divisors
+        return frozenset(r.step for r in ranges) if all(map(self._is_anchor, ranges)) else None
 
     def build(self) -> Schedule:
         return Schedule(self.period, _union(format_params(self), self.ranges()))
@@ -340,10 +342,6 @@ class UConnectParams(ProtocolParams):
     def ratio(p: int) -> tuple[int, int]:
         return 3 * p - 1, 2 * p * p
 
-    @property
-    def rendezvous(self) -> frozenset[int]:
-        return frozenset({self.p})
-
     @classmethod
     def pick(cls, delta: Fraction, options: SelectionOptions) -> tuple[int]:
         return (_closest(_odd_primes(), cls.ratio, delta),)
@@ -365,6 +363,10 @@ class SearchlightParams(ProtocolParams):
             raise ParameterError(f"searchlight needs t >= 2, got {t}")
         if i < 1:
             raise ParameterError(f"searchlight needs i >= 1, got {i}")
+        # t**i >= 2**((t.bit_length() - 1) * i), past 10**limit from 4 * limit bits
+        limit = sys.get_int_max_str_digits()
+        if limit and ((t.bit_length() - 1) * i > 4 * limit or not _fits_str(t**i)):
+            raise ParameterError(f"searchlight stride {t}**{i} passes the integer string limit")
         super().__init__(t, i)
 
     @property

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from functools import lru_cache
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import protocols
 from .numtheory import lcm, solve_congruence_pair
@@ -134,7 +134,7 @@ def _drift_slots(
     """
     div_a, div_b = getattr(a, "divisors", None), getattr(b, "divisors", None)
     if div_a is not None and div_b is not None:
-        return _analytic_latency(div_a, div_b)(drifts)
+        return _analytic_latency(div_a, div_b, drifts)
     build = protocols.build_schedule  # via the module: the traced replay rebinds it
     a, b = (n if isinstance(n, Schedule) else build(n) for n in (a, b))
     classes = [d % b.period for d in drifts]
@@ -168,9 +168,9 @@ def first_discovery(pair: DriftedPair, horizon: Optional[int] = None) -> Discove
 
 
 def _analytic_latency(
-    na: Iterable[int], nb: Iterable[int]
-) -> Callable[[Sequence[int]], list[Optional[int]]]:
-    """First discovery slot (or None) of each drift in a list, between divisibility schedules.
+    na: Iterable[int], nb: Iterable[int], drifts: Sequence[int]
+) -> list[Optional[int]]:
+    """First discovery slot (or None) of each drift, between divisibility schedules.
 
     Solves each cross pair (x, y) once, for drift g = gcd(x, y): the pair
     meets under drift d iff g divides d, and (d/g) times the solution for
@@ -190,18 +190,14 @@ def _analytic_latency(
             sol = solve_congruence_pair(0, x, -g, y)
             pairs_of[y].append((g, sol.base, sol.modulus))
     never = max(modulus for pairs in pairs_of.values() for _, _, modulus in pairs)
-
-    def slots(drifts: Sequence[int]) -> list[Optional[int]]:
-        cols = []
-        for y, pairs in pairs_of.items():
-            rs = [d % y for d in drifts]
-            table = {r: min([r // g * base % m if r % g == 0 else never for g, base, m in pairs])
-                     for r in set(rs)}
-            cols.append(list(map(table.__getitem__, rs)))
-        firsts = map(min, *cols) if len(cols) > 1 else cols[0]
-        return [None if t == never else t for t in firsts]
-
-    return slots
+    cols = []
+    for y, pairs in pairs_of.items():
+        rs = [d % y for d in drifts]
+        table = {r: min([r // g * base % m if r % g == 0 else never for g, base, m in pairs])
+                 for r in set(rs)}
+        cols.append(list(map(table.__getitem__, rs)))
+    firsts = map(min, *cols) if len(cols) > 1 else cols[0]
+    return [None if t == never else t for t in firsts]
 
 
 def first_discovery_analytic(
@@ -214,7 +210,7 @@ def first_discovery_analytic(
     pairs that meet.  Agrees slot for slot with :func:`first_discovery` on
     the equivalent schedules.
     """
-    slot = _analytic_latency(na, nb)([drift])[0]
+    slot = _analytic_latency(na, nb, [drift])[0]
     return DiscoveryResult(slot is not None, slot)
 
 

@@ -133,6 +133,8 @@ def test_cmd_schedule_bad_spec_names_token(capsys):
         (["params", "--delta", "5%", "--searchlight-t", "1"], "searchlight_t must be >= 2, got 1"),
         (["granularity", "--protocols", "hedis,hedis", "--sweep", "list:1/2"],
          "duplicate protocol 'hedis'"),
+        (["schedule", "searchlight:t=3,i=10000000", "--limit", "10"],
+         "searchlight stride 3**10000000 passes the integer string limit"),
     ],
 )
 def test_cmd_refuses_bad_input_with_one_error_line(argv, message, capsys):
@@ -248,6 +250,17 @@ def test_cmd_granularity_writes_error_row_beyond_digit_limit(capsys, digit_limit
     rows = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
     message = f"hedis needs a parameter of more than {digit_limit} digits; beyond the integer"
     assert rows[1:] == [f'hedis,1e-5000,,,"error:{message} string limit",']
+
+
+def test_cmd_params_searchlight_stride_up_to_the_digit_limit(capsys, digit_limit):
+    # 2**14282 has 4,300 digits; the pick for 1e-4300, 2**14285, has 4,301
+    rows = []
+    for delta, code in (("1e-4299", 0), ("1e-4300", 1)):
+        assert main(["params", "--protocols", "searchlight", "--delta", delta]) == code
+        rows += [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")][1:]
+    assert rows[0].startswith('searchlight,"searchlight:t=2,i=14282",1e-4299,')
+    assert rows[1] == ('searchlight,"error:searchlight stride 2**14285 passes the integer '
+                       'string limit",1e-4300,,')
 
 
 def test_cmd_params_writes_range_error_beyond_digit_limit(capsys, digit_limit):
@@ -552,6 +565,17 @@ def test_cmd_simulate_prints_no_bound_for_equal_uconnect_primes(tmp_path, capsys
     assert "bound=" not in line
     assert main([*argv[:4], "1%", *argv[5:]]) == 0
     assert capsys.readouterr().out.strip().endswith(" bound=4321")
+
+
+def test_cmd_simulate_prints_hedis_bound_for_coprime_odd_parity(tmp_path, capsys):
+    # odd n=201 and m=41 are co-prime anchor steps: every drift meets within 201 * 41 slots
+    assert main(["simulate", "--protocols", "hedis", "--delta-a", "1%", "--delta-b", "5%",
+                 "--trials", "1000", "--seed", "42", "--parity", "odd",
+                 "--out", str(tmp_path / "sim")]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "hedis: node_a=hedis:n=201 (achieved 0.995024875622%) node_b=hedis:n=41 "
+        "(achieved 4.87804878049%) trials=1000 undiscovered=0 max_latency=7273 bound=8241"
+    ]
 
 
 def test_simulate_selects_no_divisibility_pair_without_a_bound():

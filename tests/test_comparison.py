@@ -39,8 +39,8 @@ def test_hedis_against_todis_over_every_drift_class(duties):
 
     todis_a = select_params("todis", delta_a).params
     todis_b = select_params("todis", delta_b).params
-    todis = simulator._analytic_latency(todis_a.divisors, todis_b.divisors)(
-        range(todis_b.period)
+    todis = simulator._analytic_latency(
+        todis_a.divisors, todis_b.divisors, range(todis_b.period)
     )
     assert len(hedis) == b.period and len(todis) == todis_b.period
     assert (_max_and_mean(hedis), _max_and_mean(todis)) == PHASE0_TABLE[duties]

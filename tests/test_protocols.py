@@ -3,6 +3,7 @@
 import bisect
 import itertools
 import random
+import sys
 import tracemalloc
 from decimal import Context, Decimal
 from fractions import Fraction
@@ -258,6 +259,21 @@ def test_searchlight_rejects_bad_params():
         SearchlightParams(2, 0).build()
 
 
+def test_searchlight_refuses_a_stride_past_the_digit_limit_before_computing_it():
+    # 3**10**9 alone would take about 200 MB, before the period's product started
+    with pytest.raises(ParameterError, match=r"stride 3\*\*1000000000 passes the integer string"):
+        SearchlightParams(3, 10**9)
+    # at Python's default limit, 2**14284 (4,300 digits) is the largest stride of base 2
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert SearchlightParams(2, 14284).duty == Fraction(2, 2**14284)
+        with pytest.raises(ParameterError, match=r"stride 2\*\*14285 passes"):
+            SearchlightParams(2, 14285)
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 # --------------------------------------------------------------------------
 # Derived quantities shared by selection and the simulator
 # --------------------------------------------------------------------------
@@ -284,7 +300,8 @@ def test_divisor_and_parameter_sets():
     assert UConnectParams(5).divisors is None
     assert HedisParams(6).divisors is None
     assert UConnectParams(5).rendezvous == frozenset({5})
-    assert SearchlightParams(2, 3).rendezvous is None
+    assert SearchlightParams(2, 3).rendezvous == frozenset({8})
+    assert HedisParams(6).rendezvous == frozenset({6})
 
 
 def _reference_awake(params, t):
@@ -320,19 +337,23 @@ def test_ranges_match_the_documented_slots(params):
     assert s.active == {t for t in range(params.period) if _reference_awake(params, t)}
     for stop in (1, params.period // 2, params.period, params.period + 7):
         assert params.wake_slots(stop) == sorted(t for t in s.active if t < stop)
+    assert all(params.period % x == 0 for x in params.rendezvous)
+    assert params.divisors in (None, params.rendezvous)
     match params:
         case DiscoParams(p1, p2):
             assert params.divisors == {p1, p2}
         case TodisParams(n):
             assert params.divisors == {n - 2, n, n + 2}
-        case _:
-            assert params.divisors is None
+        case UConnectParams(p) | HedisParams(p):
+            assert params.divisors is None and params.rendezvous == {p}
+        case SearchlightParams(base, i):
+            assert params.divisors is None and params.rendezvous == {base**i}
 
 
 @pytest.mark.parametrize("cls", PROTOCOLS.values(), ids=PROTOCOLS)
 def test_each_protocol_is_described_by_its_ranges_alone(cls):
     assert "ranges" in vars(cls)
-    assert "build" not in vars(cls) and "divisors" not in vars(cls)
+    assert not {"build", "divisors", "rendezvous"} & vars(cls).keys()
 
 
 # hedis n=4 wakes at 0, 4, 8 and 1, 6, 11: three slots below 5, six below 12.
@@ -396,7 +417,7 @@ def test_todis_discovery_bounded_across_parameter_grid():
                 drifts = range(horizon)
             else:
                 drifts = [trial_drift(5 * n + m, i, horizon) for i in range(120)]
-            for d, slot in zip(drifts, _analytic_latency(na, nb)(drifts), strict=True):
+            for d, slot in zip(drifts, _analytic_latency(na, nb, drifts), strict=True):
                 assert slot is not None and slot <= bound, (n, m, d)
 
 

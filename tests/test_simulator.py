@@ -1,6 +1,8 @@
 """Discovery engines, drift verification, latency trials and CDFs."""
 
 import hashlib
+import itertools
+import math
 import os
 import random
 import subprocess
@@ -199,7 +201,7 @@ def test_analytic_solves_each_cross_pair_once_per_call(monkeypatch, count):
     for na, nb in cases:
         drifts = [rng.randrange(10**12) for _ in range(count)]
         solves.clear()
-        assert len(simulator._analytic_latency(na, nb)(drifts)) == count
+        assert len(simulator._analytic_latency(na, nb, drifts)) == count
         assert len(solves) == len(na) * len(nb), (na, nb)
 
 
@@ -221,7 +223,7 @@ def test_batched_analytic_matches_per_drift_solver():
         drifts += [rng.randint(-5 * span, 5 * span) for _ in range(300)]
         expected = [_per_drift_analytic(na, nb, d) for d in drifts]
         misses += expected.count(None)
-        assert simulator._analytic_latency(na, nb)(drifts) == expected, (na, nb)
+        assert simulator._analytic_latency(na, nb, drifts) == expected, (na, nb)
     assert misses  # the never-meeting drifts were exercised
 
 
@@ -453,6 +455,22 @@ def test_hedis_mixed_parity_exhaustive_discovery():
     assert max(worst) == (Fraction(1055, 12 * 33), 12, 33)
 
 
+def test_hedis_coprime_anchors_bound_every_drift():
+    # anchors at multiples of n and m meet within n*m slots when gcd(n, m) = 1
+    params = {n: HedisParams(n) for n in range(3, 41)}
+    schedules = {n: p.build() for n, p in params.items()}
+    pairs = [(n, m) for n in params for m in params if math.gcd(n, m) == 1]
+    assert len(pairs) == 862
+    worst = []
+    for n, m in pairs:
+        result = verify_all_drifts(schedules[n], schedules[m])
+        bound = worst_case_bound(params[n].rendezvous, params[m].rendezvous)
+        assert result.exhaustive and result.all_discover, (n, m)
+        assert result.max_latency < bound == n * m, (n, m)
+        worst.append((Fraction(result.max_latency, bound), n, m))
+    assert max(worst) == (Fraction(1520, 40 * 39), 40, 39)
+
+
 def test_uconnect_exhaustive_guarantee():
     primes = [p for p in primes_up_to(41) if p > 2]
     pairs = [(p, q) for p in primes for q in primes if p <= q]
@@ -498,6 +516,23 @@ def test_searchlight_exhaustive_coverage():
         (6, 6): 1984, (6, 7): 8128,
         (7, 7): 8064,
     }
+
+
+def test_searchlight_coprime_anchors_bound_every_drift():
+    # t=2 against t=3: the anchor strides 2**i and 3**j are co-prime
+    base2 = [SearchlightParams(2, i) for i in range(1, 6)]
+    base3 = [SearchlightParams(3, j) for j in range(1, 5)]
+    pairs = [*itertools.product(base2, base3), *itertools.product(base3, base2)]
+    assert len(pairs) == 40
+    assert max(lcm(a.period, b.period) for a, b in pairs) <= 2 * 10**6
+    maxima = []
+    for a, b in pairs:
+        result = verify_all_drifts(a, b)
+        bound = worst_case_bound(a.rendezvous, b.rendezvous)
+        assert result.exhaustive and result.all_discover, (a, b)
+        assert result.max_latency < bound == (a.t**a.i) * (b.t**b.i), (a, b)
+        maxima.append((result.max_latency, bound, (a.t, a.i), (b.t, b.i)))
+    assert max(maxima) == (2528, 2592, (2, 5), (3, 4))
 
 
 def test_latency_trials_builds_each_grid_schedule_once(monkeypatch):
