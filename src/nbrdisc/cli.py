@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -24,6 +25,7 @@ from .protocols import (
     ScanBudgetError,
     SelectionError,
     SelectionOptions,
+    check_count,
     escape_error,
     format_params,
     format_rational,
@@ -57,18 +59,25 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+# Largest decimal exponent of a duty cycle: Fraction builds 10**exponent
+# exactly, and 1e-1000000 already takes about 2 s through every protocol.
+MAX_EXPONENT = 10**6
+
+
 def parse_delta(text: str) -> Fraction:
-    """Duty cycle from '0.05', '1/20' or '5%'."""
+    """Duty cycle from '0.05', '1/20' or '5%'; refuses an exponent past
+    :data:`MAX_EXPONENT` before building the value."""
     token = text.strip()
     num, _, den = token.partition("/")
     try:
         if num.isdigit() and den.isdigit():
             return Fraction(int(num), int(den))  # exact, as Fraction(token) reads it
-        if token.endswith("%"):
-            return Fraction(token[:-1]) / 100
-        return Fraction(token)
+        exponent = re.search(r"[\d.][eE]([-+]?\d+(?:_\d+)*)\s*%?$", token)
+        if not exponent or abs(int(exponent[1])) <= MAX_EXPONENT:
+            return Fraction(token[:-1]) / 100 if token.endswith("%") else Fraction(token)
     except (ValueError, ZeroDivisionError):
         raise NotationError(f"bad duty cycle '{text}'") from None
+    raise NotationError(f"duty cycle exponent must be within {MAX_EXPONENT} of 0, got {exponent[1]}")
 
 
 def parse_sweep(text: str) -> list[Fraction]:
@@ -81,8 +90,7 @@ def parse_sweep(text: str) -> list[Fraction]:
             k = int(rest)
         except ValueError:
             raise NotationError(f"bad reciprocal count '{rest}'") from None
-        if k < 1:
-            raise NotationError(f"reciprocal count must be >= 1, got {k}")
+        check_count("reciprocal count", k)
         return [Fraction(1, i) for i in range(1, k + 1)]
     if kind == "percent":
         lo_txt, sep2, hi_txt = rest.partition("..")
@@ -216,8 +224,7 @@ def cmd_simulate(args: argparse.Namespace, argv: Sequence[str]) -> int:
     delta_a = parse_delta(args.delta_a)
     delta_b = parse_delta(args.delta_b)
     options = _options_from(args)
-    if args.trials < 1:
-        raise ValueError(f"trials must be >= 1, got {args.trials}")
+    check_count("trials", args.trials)
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -28,7 +28,7 @@ import math
 import re
 import sys
 from bisect import bisect_left, bisect_right
-from decimal import Context, Decimal
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, ClassVar, Iterable, NamedTuple, Optional, Sequence
@@ -46,6 +46,10 @@ MAX_WAKE_SLOTS = 10**7
 
 # Default work guard, in drifts or sweep probes, of exhaustive verification.
 MAX_WORK = 10**8
+
+# Most decimal digits of a parameter, period or printed value (Python's default str limit).
+MAX_DIGITS = 4300
+_DIGIT_BOUND = 10**MAX_DIGITS
 
 
 class ParameterError(ValueError):
@@ -103,10 +107,8 @@ def _is_prime(n: int) -> bool:
 
 
 def _fits_str(n: int) -> bool:
-    """Whether ``str(n)`` stays within Python's integer-to-string digit limit."""
-    limit = sys.get_int_max_str_digits()
-    # 2**(3*limit) < 10**limit, so the bit length settles all but huge values
-    return not limit or n.bit_length() <= 3 * limit or abs(n) < 10**limit
+    """Whether ``n`` has at most :data:`MAX_DIGITS` decimal digits."""
+    return -_DIGIT_BOUND < n < _DIGIT_BOUND
 
 
 def decimal_text(value: Fraction) -> str:
@@ -120,7 +122,7 @@ def decimal_text(value: Fraction) -> str:
     # log10(n/d) lies within one bit of this estimate, so q gets 16 digits give or take one
     k = 15 - (n.bit_length() - d.bit_length()) * 30103 // 100000
     q, r = divmod(n * 10**k, d) if k >= 0 else divmod(n, d * 10**-k)
-    ctx = Context(prec=12)
+    ctx = Context(prec=12, Emax=MAX_EMAX, Emin=MIN_EMIN)
     quotient = Decimal(10 * q + (r != 0)).scaleb(-k - 1, ctx)
     return ("-" if value < 0 else "") + format(quotient.normalize(ctx), ".12g")
 
@@ -148,10 +150,17 @@ def escape_error(message: str) -> str:
 
 
 def _text(value: Fraction) -> str:
-    """``str(value)``, or :func:`decimal_text` where that passes the digit limit."""
+    """``str(value)``, or :func:`decimal_text` where a part passes :data:`MAX_DIGITS`."""
     if _fits_str(value.numerator) and _fits_str(value.denominator):
         return str(value)
     return decimal_text(value)
+
+
+def check_count(what: str, count: int) -> None:
+    """Refuse a ``what`` count outside [1, :data:`MAX_WAKE_SLOTS`] with a ``ValueError``."""
+    if not 1 <= count <= MAX_WAKE_SLOTS:
+        bound = ">= 1" if count < 1 else f"<= {MAX_WAKE_SLOTS}"
+        raise ValueError(f"{what} must be {bound}, got {count}")
 
 
 def _union(what: str, ranges: Iterable[range]) -> frozenset[int]:
@@ -219,7 +228,7 @@ def _chosen(cls: type[ProtocolParams], values: tuple) -> tuple[ProtocolParams, F
     """The parameter value with field ``values`` and its exact duty cycle, built once."""
     if not all(map(_fits_str, values)):
         raise SelectionError(
-            f"{cls.name} needs a parameter of more than {sys.get_int_max_str_digits()} "
+            f"{cls.name} needs a parameter of more than {MAX_DIGITS} "
             "digits, beyond the integer string limit"
         )
     return cls(*values), Fraction(*cls.ratio(*values))
@@ -363,9 +372,8 @@ class SearchlightParams(ProtocolParams):
             raise ParameterError(f"searchlight needs t >= 2, got {t}")
         if i < 1:
             raise ParameterError(f"searchlight needs i >= 1, got {i}")
-        # t**i >= 2**((t.bit_length() - 1) * i), past 10**limit from 4 * limit bits
-        limit = sys.get_int_max_str_digits()
-        if limit and ((t.bit_length() - 1) * i > 4 * limit or not _fits_str(t**i)):
+        # t**i >= 2**((t.bit_length() - 1) * i), past 10**MAX_DIGITS from 4 * MAX_DIGITS bits
+        if (t.bit_length() - 1) * i > 4 * MAX_DIGITS or not _fits_str(t**i):
             raise ParameterError(f"searchlight stride {t}**{i} passes the integer string limit")
         super().__init__(t, i)
 
@@ -385,8 +393,10 @@ class SearchlightParams(ProtocolParams):
 
     @classmethod
     def pick(cls, delta: Fraction, options: SelectionOptions) -> tuple[int, int]:
-        # t**i >= 2**i > 2/delta once i reaches the bit length of 2/delta
-        t, top = options.searchlight_t, (2 * delta.denominator // delta.numerator).bit_length()
+        # t**i >= 2**(b*i) > 2/delta once b*i, b = t.bit_length() - 1, reaches the
+        # bit length of 2/delta, so no stride tried passes about (2*t/delta)**2
+        t = options.searchlight_t
+        top = -(-(2 * delta.denominator // delta.numerator).bit_length() // (t.bit_length() - 1))
         return t, _closest(range(1, top + 2), lambda i: cls.ratio(t, i), delta)
 
 
@@ -497,8 +507,9 @@ class SelectionOptions(Frozen):
             raise ValueError(f"hedis_parity must be 'even' or 'odd', got {hedis_parity!r}")
         if searchlight_t < 2:
             raise ValueError(f"searchlight_t must be >= 2, got {searchlight_t}")
-        if todis_max_n < 5:
-            raise ValueError(f"todis_max_n must be >= 5, got {todis_max_n}")
+        if not 5 <= todis_max_n <= sys.maxsize:  # range() lengths stop at sys.maxsize
+            bound = ">= 5" if todis_max_n < 5 else f"<= {sys.maxsize}"
+            raise ValueError(f"todis_max_n must be {bound}, got {todis_max_n}")
         super().__init__(hedis_parity, searchlight_t, todis_max_n)
 
 
@@ -538,8 +549,8 @@ def select_params(
     cycle) for uconnect, searchlight, hedis and todis, and to the larger
     consecutive-prime pair (the lower duty cycle) for disco.
     Raises :class:`SelectionError` when even the best candidate misses the
-    target by 100% or more, or needs more digits than Python's integer
-    string limit allows.
+    target by 100% or more, or needs a parameter of more than
+    :data:`MAX_DIGITS` digits.
     """
     if protocol not in PROTOCOLS:
         raise NotationError(f"unknown protocol '{protocol}'")

@@ -255,9 +255,8 @@ def verify_all_drifts(
         # and mean are the per-drift ones; int/int division is correctly
         # rounded, so the mean is bit-identical to a per-drift average.
         slots = _drift_slots(a, b, range(b.period), max_work)
-    elif sample < 1:
-        raise ValueError(f"sample must be >= 1, got {sample}")
     else:
+        protocols.check_count("sample", sample)
         slots = _drift_slots(a, b, [trial_drift(seed, i, horizon) for i in range(sample)])
     latencies = [t for t in slots if t is not None]
     try:
@@ -340,8 +339,7 @@ def latency_trials(
     can make a slot walk infeasible), else from one walk that settles the
     drift classes of all trials.  Identical inputs give identical output.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    protocols.check_count("trials", trials)
     horizon = lcm(cfg_a.params.period, cfg_b.params.period)
     drifts = [w % horizon for w in _trial_words(seed, trials)]
     slots = _drift_slots(cfg_a.params, cfg_b.params, drifts)

@@ -1,10 +1,13 @@
 """CLI behavior: notation, sweep grammar, output metadata and determinism."""
 
 import math
+import os
+import subprocess
 import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +19,8 @@ from nbrdisc.protocols import (
     SelectionOptions,
     TodisParams,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_parse_delta_forms():
@@ -116,32 +121,48 @@ def test_cmd_schedule_bad_spec_names_token(capsys):
     assert "frisbee" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (["granularity", "--sweep", "reciprocal:x"], "bad reciprocal count 'x'"),
-        (["granularity", "--sweep", "reciprocal:0"], "reciprocal count must be >= 1, got 0"),
-        (["granularity", "--sweep", "percent:5"], "bad percent range '5' (expected a..b)"),
-        (["granularity", "--sweep", "percent:a..b"], "bad percent range 'a..b'"),
-        (["granularity", "--sweep", "percent:0..101"], "percent range '0..101' outside 1..100"),
-        (["granularity", "--protocols", ",", "--sweep", "list:0.5"], "empty protocol list"),
-        (["schedule", "disco:"], "missing parameters after 'disco:'"),
-        (["schedule", "disco:p1"], "bad parameter token 'p1' (expected key=value)"),
-        (["schedule", "disco:p1=3,p1=5"], "duplicate parameter 'p1'"),
-        (["schedule", "foo:n=3"], "unknown protocol 'foo'"),
-        (["schedule", "disco:p1=1,p2=3"], "disco parameter 1 is not prime"),
-        (["params", "--delta", "5%", "--searchlight-t", "1"], "searchlight_t must be >= 2, got 1"),
-        (["granularity", "--protocols", "hedis,hedis", "--sweep", "list:1/2"],
-         "duplicate protocol 'hedis'"),
-        (["schedule", "searchlight:t=3,i=10000000", "--limit", "10"],
-         "searchlight stride 3**10000000 passes the integer string limit"),
-    ],
-)
+REFUSALS = [
+    (["granularity", "--sweep", "reciprocal:x"], "bad reciprocal count 'x'"),
+    (["granularity", "--sweep", "reciprocal:0"], "reciprocal count must be >= 1, got 0"),
+    (["granularity", "--sweep", "percent:5"], "bad percent range '5' (expected a..b)"),
+    (["granularity", "--sweep", "percent:a..b"], "bad percent range 'a..b'"),
+    (["granularity", "--sweep", "percent:0..101"], "percent range '0..101' outside 1..100"),
+    (["granularity", "--protocols", ",", "--sweep", "list:0.5"], "empty protocol list"),
+    (["schedule", "disco:"], "missing parameters after 'disco:'"),
+    (["schedule", "disco:p1"], "bad parameter token 'p1' (expected key=value)"),
+    (["schedule", "disco:p1=3,p1=5"], "duplicate parameter 'p1'"),
+    (["schedule", "foo:n=3"], "unknown protocol 'foo'"),
+    (["schedule", "disco:p1=1,p2=3"], "disco parameter 1 is not prime"),
+    (["params", "--delta", "5%", "--searchlight-t", "1"], "searchlight_t must be >= 2, got 1"),
+    (["granularity", "--protocols", "hedis,hedis", "--sweep", "list:1/2"],
+     "duplicate protocol 'hedis'"),
+    (["schedule", "searchlight:t=3,i=10000000", "--limit", "10"],
+     "searchlight stride 3**10000000 passes the integer string limit"),
+]
+
+
+@pytest.mark.parametrize("argv, message", REFUSALS)
 def test_cmd_refuses_bad_input_with_one_error_line(argv, message, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "flags, env",
+    [([], {"PYTHONINTMAXSTRDIGITS": "0"}), (["-X", "int_max_str_digits=640"], {})],
+    ids=["no-digit-limit", "digit-limit-640"],
+)
+def test_process_refuses_bad_input_whatever_the_digit_limit(flags, env, tmp_path):
+    # every size guard reads MAX_DIGITS, not the interpreter's digit limit
+    env = {**os.environ, **env, "PYTHONPATH": str(SRC)}
+    for argv, message in REFUSALS:
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, *flags, "-m", "nbrdisc.cli", *argv], env=env,
+                              cwd=tmp_path, capture_output=True, text=True, timeout=60)
+        assert time.perf_counter() - start < 1, argv
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
 
 
 def test_cmd_schedule_tests_a_large_disco_prime_quickly(capsys):
@@ -235,24 +256,15 @@ def test_cmd_params_writes_error_row_above_float_range(capsys):
     assert rows[1].endswith('",1e+400,,')
 
 
-@pytest.fixture
-def digit_limit():
-    """Python's default integer-to-string limit, whatever the environment set."""
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    yield 4300
-    sys.set_int_max_str_digits(saved)
-
-
-def test_cmd_granularity_writes_error_row_beyond_digit_limit(capsys, digit_limit):
+def test_cmd_granularity_writes_error_row_beyond_digit_limit(capsys):
     # hedis would need n = 2 * 10**5000, which str() refuses to print
     assert main(["granularity", "--protocols", "hedis", "--sweep", "list:1e-5000"]) == 1
     rows = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
-    message = f"hedis needs a parameter of more than {digit_limit} digits; beyond the integer"
+    message = "hedis needs a parameter of more than 4300 digits; beyond the integer"
     assert rows[1:] == [f'hedis,1e-5000,,,"error:{message} string limit",']
 
 
-def test_cmd_params_searchlight_stride_up_to_the_digit_limit(capsys, digit_limit):
+def test_cmd_params_searchlight_stride_up_to_the_digit_limit(capsys):
     # 2**14282 has 4,300 digits; the pick for 1e-4300, 2**14285, has 4,301
     rows = []
     for delta, code in (("1e-4299", 0), ("1e-4300", 1)):
@@ -263,7 +275,7 @@ def test_cmd_params_searchlight_stride_up_to_the_digit_limit(capsys, digit_limit
                        'string limit",1e-4300,,')
 
 
-def test_cmd_params_writes_range_error_beyond_digit_limit(capsys, digit_limit):
+def test_cmd_params_writes_range_error_beyond_digit_limit(capsys):
     for exponent in (5000, 100000):
         assert main(["params", "--protocols", "all", "--delta", f"1e{exponent}"]) == 1
         rows = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]

@@ -263,15 +263,10 @@ def test_searchlight_refuses_a_stride_past_the_digit_limit_before_computing_it()
     # 3**10**9 alone would take about 200 MB, before the period's product started
     with pytest.raises(ParameterError, match=r"stride 3\*\*1000000000 passes the integer string"):
         SearchlightParams(3, 10**9)
-    # at Python's default limit, 2**14284 (4,300 digits) is the largest stride of base 2
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    try:
-        assert SearchlightParams(2, 14284).duty == Fraction(2, 2**14284)
-        with pytest.raises(ParameterError, match=r"stride 2\*\*14285 passes"):
-            SearchlightParams(2, 14285)
-    finally:
-        sys.set_int_max_str_digits(saved)
+    # 2**14284 (4,300 digits) is the largest stride of base 2
+    assert SearchlightParams(2, 14284).duty == Fraction(2, 2**14284)
+    with pytest.raises(ParameterError, match=r"stride 2\*\*14285 passes"):
+        SearchlightParams(2, 14285)
 
 
 # --------------------------------------------------------------------------
@@ -441,6 +436,14 @@ def test_select_hedis_parity_option():
     )
     assert cfg.params.n % 2 == 1
     assert cfg.params.n in (39, 41)
+
+
+def test_selection_options_bound_todis_max_n_by_sys_maxsize():
+    # range() lengths stop at sys.maxsize: 2**70 once raised OverflowError in _closest
+    with pytest.raises(ValueError, match=rf"todis_max_n must be <= {sys.maxsize}, got {2**70}$"):
+        SelectionOptions(todis_max_n=2**70)
+    cfg = select_params("todis", "1/100", SelectionOptions(todis_max_n=sys.maxsize))
+    assert format_params(cfg.params) == "todis:n=299"
 
 
 def test_select_todis():
@@ -644,6 +647,13 @@ def test_decimal_text_hands_decimal_few_digits(monkeypatch):
     assert protocols.decimal_text(Fraction(-1, 3 * 10**100000)) == "-3.33333333333e-100001"
     assert protocols.decimal_text(Fraction(2**400000 + 1, 7)) == "1.42287763285e+120411"
     assert bits and max(bits) <= 64, bits
+
+
+def test_decimal_text_past_the_default_decimal_exponent_range():
+    # decimal's default context stops at exponent 999999: params --delta 1e1000000
+    # once ended in decimal.Overflow, and the tiny side lost digits as subnormals
+    assert protocols.format_rational(Fraction(2**3400000)) == "9.66623915795e+1023501"
+    assert protocols.format_rational(Fraction(3, 2**3321930)) == "8.00986516996e-1000001"
 
 
 # --------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -721,6 +722,28 @@ _HEDIS = select_params("hedis", Fraction(1, 20))
 def test_library_refuses_bad_input(call, message):
     with pytest.raises(ValueError) as info:
         call()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: latency_trials(_HEDIS, _HEDIS, trials=10**7 + 1, seed=1),
+         "trials must be <= 10000000, got 10000001"),
+        (lambda: verify_all_drifts(HedisParams(4), HedisParams(6), sample=10**30),
+         f"sample must be <= 10000000, got {10**30}"),
+    ],
+    ids=["trials", "sample"],
+)
+def test_library_refuses_counts_past_the_cap_before_drawing_words(call, message):
+    # 10**6 trials take about 250 MB of words, drifts and slots
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
     assert str(info.value) == message
 
 
