@@ -21,9 +21,6 @@ from .protocols import (
     MAX_WORK,
     PROTOCOL_ORDER,
     NotationError,
-    ParameterError,
-    ScanBudgetError,
-    SelectionError,
     SelectionOptions,
     check_count,
     escape_error,
@@ -236,7 +233,7 @@ def cmd_simulate(args: argparse.Namespace, argv: Sequence[str]) -> int:
             cfg_a = select_params(protocol, delta_a, options)
             cfg_b = select_params(protocol, delta_b, options)
             dist = latency_trials(cfg_a, cfg_b, args.trials, args.seed)
-        except (SelectionError, ParameterError) as exc:
+        except ValueError as exc:
             print(f"{protocol}: error:{escape_error(str(exc))}")
             status = 1
             continue
@@ -342,7 +339,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, argv)
-    except (ScanBudgetError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import re
 import sys
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
@@ -64,19 +64,14 @@ class NotationError(ValueError):
     """Malformed textual parameter notation."""
 
 
-class ScanBudgetError(RuntimeError):
-    """Exhaustive drift verification exceeded its work guard."""
+class ScanBudgetError(ValueError):
+    """Exhaustive drift verification exceeded its work guard or class cap."""
 
 
-# Miller-Rabin with the first k of these primes as bases decides primality
-# exactly below the k-th bound (OEIS A014233; Sorenson and Webster, 2015).
+# Miller-Rabin with these 13 prime bases decides primality exactly below
+# PRIME_TEST_LIMIT (OEIS A014233; Sorenson and Webster, 2015).
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_EXACT_BELOW = (
-    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321,
-    341550071728321, 3825123056546413051, 3825123056546413051, 3825123056546413051,
-    318665857834031151167461, 3317044064679887385961981,
-)
-PRIME_TEST_LIMIT = _EXACT_BELOW[-1]
+PRIME_TEST_LIMIT = 3317044064679887385961981
 
 
 def _is_prime(n: int) -> bool:
@@ -93,7 +88,7 @@ def _is_prime(n: int) -> bool:
             return n == p
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s with d odd
     d = (n - 1) >> s
-    for a in _PRIME_BASES[: bisect_right(_EXACT_BELOW, n) + 1]:
+    for a in _PRIME_BASES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -192,11 +187,6 @@ def coprimality_schedule(divisors: Iterable[int]) -> Schedule:
 @lru_cache(maxsize=None)
 def _prime_pool() -> tuple[int, ...]:
     return tuple(primes_up_to(PRIME_POOL_LIMIT))
-
-
-@lru_cache(maxsize=None)
-def _odd_primes() -> tuple[int, ...]:
-    return _prime_pool()[1:]
 
 
 def _closest(keys: Sequence, ratio: Callable, delta: Fraction, *, tie_to_later: bool = False):
@@ -353,7 +343,8 @@ class UConnectParams(ProtocolParams):
 
     @classmethod
     def pick(cls, delta: Fraction, options: SelectionOptions) -> tuple[int]:
-        return (_closest(_odd_primes(), cls.ratio, delta),)
+        primes = _prime_pool()  # index 0 holds 2, which uconnect refuses
+        return (primes[_closest(range(1, len(primes)), lambda i: cls.ratio(primes[i]), delta)],)
 
 
 class SearchlightParams(ProtocolParams):

@@ -80,7 +80,7 @@ def make_schedule(period: int, active_slots: Iterable[int]) -> Schedule:
     Duplicate indices are tolerated (the active set is deduplicated);
     a period of zero or an index outside [0, period) is rejected.
     """
-    return Schedule(period, frozenset(active_slots))
+    return Schedule(period, active_slots)
 
 
 def duty_cycle(s: Schedule) -> Fraction:

@@ -236,11 +236,11 @@ def verify_all_drifts(
 
     Each node is a built schedule or parameters.  Exhaustive mode covers
     every drift in [0, lcm(T_a, T_b)).  It raises :class:`ScanBudgetError`,
-    before anything is built, when the number of drifts exceeds
-    ``max_work``; a sweep over built schedules is also refused once it spent
-    more than ``max_work`` probes (a wake slots walked times b's wake-slot
-    count).  Passing ``sample`` switches to seeded sampling instead, flagged
-    by ``exhaustive=False`` in the result.  Two divisibility parameter
+    before anything is built, when the drifts exceed ``max_work`` or the T_b
+    drift classes it lists exceed ``MAX_WAKE_SLOTS``; a sweep is also refused
+    once it spent more than ``max_work`` probes (a wake slots walked times
+    b's wake-slot count).  Passing ``sample`` switches to seeded sampling,
+    flagged by ``exhaustive=False`` in the result.  Two divisibility parameter
     values are answered analytically in either mode, building nothing.
     """
     if max_work < 1:
@@ -251,6 +251,9 @@ def verify_all_drifts(
             raise ScanBudgetError(
                 f"{horizon} drifts exceed the work guard {max_work}; {_SAMPLE_HINT}"
             )
+        if b.period > protocols.MAX_WAKE_SLOTS:
+            raise ScanBudgetError(f"{b.period} drift classes exceed the cap "
+                                  f"{protocols.MAX_WAKE_SLOTS}; {_SAMPLE_HINT}")
         # Each class holds horizon // T_b drifts, so the per-class maximum
         # and mean are the per-drift ones; int/int division is correctly
         # rounded, so the mean is bit-identical to a per-drift average.

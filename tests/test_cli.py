@@ -11,11 +11,15 @@ from pathlib import Path
 
 import pytest
 
-from nbrdisc import protocols
+from nbrdisc import cli, protocols
 from nbrdisc.cli import main, parse_delta, parse_protocols, parse_sweep
+from nbrdisc.granularity import BoundDomainError
 from nbrdisc.protocols import (
     PROTOCOL_ORDER,
     NotationError,
+    ParameterError,
+    ScanBudgetError,
+    SelectionError,
     SelectionOptions,
     TodisParams,
 )
@@ -147,6 +151,16 @@ def test_cmd_refuses_bad_input_with_one_error_line(argv, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "error",
+    [NotationError, ParameterError, SelectionError, ScanBudgetError, BoundDomainError,
+     cli.OutputError],
+)
+def test_every_refusal_type_is_a_value_error(error):
+    # main and the in-row handlers each catch ValueError alone
+    assert issubclass(error, ValueError)
 
 
 @pytest.mark.parametrize(
@@ -447,6 +461,24 @@ def test_cmd_verify_refuses_mean_beyond_float_range(capsys):
     assert "float range" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["todis:n=5", "todis:n=100001", "--max-work", str(10**20)], ["todis:n=217", "todis:n=217"]],
+    ids=["huge-b", "same-n"],
+)
+def test_process_refuses_drift_classes_past_the_cap_within_1_gb(argv, tmp_path):
+    # exhaustive verify lists b's T_b drift classes, so it refuses T_b past
+    # MAX_WAKE_SLOTS before listing any, here under a 1 GB address-space limit
+    child = ("import resource; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
+             "from nbrdisc.cli import run; run()")
+    proc = subprocess.run([sys.executable, "-c", child, "verify", *argv],
+                          env={**os.environ, "PYTHONPATH": str(SRC)}, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "drift classes exceed the cap 10000000; pass --sample N" in proc.stderr
+
+
 def test_cmd_verify_budget_errors_name_the_sample_option(capsys):
     assert main(["verify", "todis:n=5001", "todis:n=4999"]) == 2
     assert "--sample" in capsys.readouterr().err
@@ -538,6 +570,27 @@ def test_cmd_simulate_reports_failed_protocol_in_row(tmp_path, capsys):
     assert sorted(p.name for p in out_dir.iterdir()) == sorted(
         f"{protocol}_{kind}.csv" for protocol in good for kind in ("trials", "cdf")
     )
+
+
+def test_cmd_simulate_reports_any_refusal_in_row(tmp_path, monkeypatch, capsys):
+    # a ScanBudgetError from hedis's trials is reported in hedis's line; todis still runs
+    real = cli.latency_trials
+
+    def trials(cfg_a, cfg_b, count, seed):
+        if cfg_a.params.name == "hedis":
+            raise ScanBudgetError("hedis trials past the work guard")
+        return real(cfg_a, cfg_b, count, seed)
+
+    monkeypatch.setattr(cli, "latency_trials", trials)
+    out_dir = tmp_path / "sim"
+    argv = ["simulate", "--protocols", "hedis,todis", "--delta-a", "1%", "--delta-b", "5%",
+            "--trials", "5", "--out", str(out_dir)]
+    assert main(argv) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    assert lines[0] == "hedis: error:hedis trials past the work guard"
+    assert lines[1].startswith("todis: node_a=todis:n=") and "trials=5 undiscovered=0" in lines[1]
+    assert sorted(p.name for p in out_dir.iterdir()) == ["todis_cdf.csv", "todis_trials.csv"]
 
 
 def test_cmd_simulate_reports_oversize_schedule_in_row(tmp_path, capsys):

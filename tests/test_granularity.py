@@ -531,7 +531,7 @@ def test_sweep_work_counts(monkeypatch):
     # bisection selects about one cell in ten; a selection bisects a pool
     # of at most 1,228 keys (11 duty evaluations), compares two neighbours
     # and builds its pick's exact duty once
-    pool = len(protocols._odd_primes())
+    pool = len(protocols._prime_pool()) - 1
     assert len(per_cell) <= 600 and max(per_cell) <= pool.bit_length() + 2 + 1
     # one relative error per cell, one achieved duty per distinct parameter
     assert in_sweep <= len(records) + len(constructed)

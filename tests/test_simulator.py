@@ -276,6 +276,30 @@ def test_verify_all_drifts_sweep_budget_guard():
     assert not verify_all_drifts(a, b, max_work=16).all_discover
 
 
+@pytest.mark.parametrize(
+    "a, b",
+    [(TodisParams(5), TodisParams(7)), (HedisParams(4), HedisParams(11))],
+    ids=["divisibility", "grid"],
+)
+def test_verify_all_drifts_caps_drift_classes_before_building(monkeypatch, a, b):
+    # exhaustive mode lists b's T_b drift classes: T_b at MAX_WAKE_SLOTS is
+    # answered, one past it is refused before anything is built or listed
+    expected = verify_all_drifts(a, b)
+    monkeypatch.setattr(protocols, "MAX_WAKE_SLOTS", b.period)
+    assert verify_all_drifts(a, b) == expected
+    monkeypatch.setattr(protocols, "MAX_WAKE_SLOTS", b.period - 1)
+    # sampling lists no classes, so the cap does not bind it
+    assert verify_all_drifts(a, b, sample=3).drifts_checked == 3
+
+    def no_build(params):
+        pytest.fail(f"built {params} before the drift-class cap")
+
+    monkeypatch.setattr(protocols, "build_schedule", no_build)
+    message = f"^{b.period} drift classes exceed the cap {b.period - 1}; pass --sample N "
+    with pytest.raises(ScanBudgetError, match=message):
+        verify_all_drifts(a, b)
+
+
 def _verification(slots, exhaustive):
     """Summary of per-drift first discovery slots (None: never met)."""
     found = [t for t in slots if t is not None]
