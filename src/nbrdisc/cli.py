@@ -57,7 +57,7 @@ def __getattr__(name: str):
 
 
 # Largest decimal exponent of a duty cycle: Fraction builds 10**exponent
-# exactly, and 1e-1000000 already takes about 2 s through every protocol.
+# exactly, and 1e-1000000 already takes about 1.1 s through every protocol.
 MAX_EXPONENT = 10**6
 
 
@@ -197,9 +197,8 @@ def cmd_granularity(args: argparse.Namespace, argv: Sequence[str]) -> int:
 def cmd_verify(args: argparse.Namespace, argv: Sequence[str]) -> int:
     _load("simulator")
     params_a, params_b = parse_params(args.spec_a), parse_params(args.spec_b)
-    result = verify_all_drifts(
-        params_a, params_b, max_work=args.max_work, sample=args.sample, seed=args.seed
-    )
+    result = verify_all_drifts(params_a, params_b, max_work=args.max_work,
+                               sample=args.sample, seed=args.seed)
     mean = "" if result.mean_latency is None else format_rational(result.mean_latency)
     peak = "" if result.max_latency is None else str(result.max_latency)
     lines = [
@@ -316,7 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec_a", help="parameter notation for node a")
     p.add_argument("spec_b", help="parameter notation for node b")
     p.add_argument("--sample", type=int, default=None, help="sampled drifts instead of exhaustive")
-    p.add_argument("--max-work", type=int, default=MAX_WORK, help="exhaustive work guard")
+    p.add_argument("--max-work", type=int, default=MAX_WORK,
+                   help="most drift classes listed and, for a walk, its probes")
     common(p)
     p.set_defaults(func=cmd_verify)
 

@@ -44,7 +44,7 @@ PRIME_POOL_LIMIT = 10_000
 # builds; the largest selectable schedule, todis n=1201, holds about 4.3 million.
 MAX_WAKE_SLOTS = 10**7
 
-# Default work guard, in drifts or sweep probes, of exhaustive verification.
+# Default work guard, in drift classes listed or sweep probes, of exhaustive verification.
 MAX_WORK = 10**8
 
 # Most decimal digits of a parameter, period or printed value (Python's default str limit).
@@ -106,6 +106,7 @@ def _fits_str(n: int) -> bool:
     return -_DIGIT_BOUND < n < _DIGIT_BOUND
 
 
+@lru_cache(maxsize=8)
 def decimal_text(value: Fraction) -> str:
     """``value`` to 12 significant digits from its exact value, no trailing zeros.
 

@@ -235,25 +235,22 @@ def verify_all_drifts(
     """Check that every drift (or a seeded sample of drifts) yields discovery.
 
     Each node is a built schedule or parameters.  Exhaustive mode covers
-    every drift in [0, lcm(T_a, T_b)).  It raises :class:`ScanBudgetError`,
-    before anything is built, when the drifts exceed ``max_work`` or the T_b
-    drift classes it lists exceed ``MAX_WAKE_SLOTS``; a sweep is also refused
-    once it spent more than ``max_work`` probes (a wake slots walked times
-    b's wake-slot count).  Passing ``sample`` switches to seeded sampling,
-    flagged by ``exhaustive=False`` in the result.  Two divisibility parameter
-    values are answered analytically in either mode, building nothing.
+    every drift in [0, lcm(T_a, T_b)) through b's T_b drift classes, and
+    raises :class:`ScanBudgetError` before anything is built or listed when
+    they exceed the lesser of ``max_work`` and ``MAX_WAKE_SLOTS``; a sweep
+    is also refused once it spent more than ``max_work`` probes (a wake
+    slots walked times b's wake-slot count).  Passing ``sample`` switches to
+    seeded sampling, flagged by ``exhaustive=False`` in the result.  Two
+    divisibility parameter values are answered analytically, building nothing.
     """
     if max_work < 1:
         raise ValueError(f"max_work must be >= 1, got {max_work}")
     horizon = lcm(a.period, b.period)
     if sample is None:
-        if horizon > max_work:
-            raise ScanBudgetError(
-                f"{horizon} drifts exceed the work guard {max_work}; {_SAMPLE_HINT}"
-            )
-        if b.period > protocols.MAX_WAKE_SLOTS:
-            raise ScanBudgetError(f"{b.period} drift classes exceed the cap "
-                                  f"{protocols.MAX_WAKE_SLOTS}; {_SAMPLE_HINT}")
+        cap = protocols.MAX_WAKE_SLOTS
+        if b.period > min(max_work, cap):
+            raise ScanBudgetError(f"{b.period} drift classes exceed {min(max_work, cap)}, the "
+                                  f"lesser of --max-work and the {cap}-class cap; {_SAMPLE_HINT}")
         # Each class holds horizon // T_b drifts, so the per-class maximum
         # and mean are the per-drift ones; int/int division is correctly
         # rounded, so the mean is bit-identical to a per-drift average.

@@ -297,6 +297,20 @@ def test_cmd_params_writes_range_error_beyond_digit_limit(capsys):
         assert rows[1:] == [f"{protocol},{cells}" for protocol in PROTOCOL_ORDER]
 
 
+@pytest.mark.parametrize("delta, values", [("1e-5000", 1), ("1e-400", 2)])
+def test_cmd_params_renders_each_exact_value_once(monkeypatch, capsys, delta, values):
+    # each exact rendering makes one decimal Context.  1e-5000 fills the desired
+    # column and three error messages; 1e-400 fills the desired column and hedis's
+    # achieved one, and searchlight achieves a second value below the float range
+    made = []
+    context = protocols.Context
+    monkeypatch.setattr(protocols, "Context", lambda **kw: made.append(kw) or context(**kw))
+    protocols.decimal_text.cache_clear()
+    main(["params", "--delta", delta])
+    assert f",{delta}," in capsys.readouterr().out
+    assert len(made) == values
+
+
 def test_cmd_granularity_error_rows_set_exit_status(tmp_path, capsys):
     out = tmp_path / "g.csv"
     code = main(
@@ -355,7 +369,47 @@ def test_cmd_verify_refuses_oversized_exhaustive_run_before_building(
     assert main(["verify", "todis:n=5001", "todis:n=4999"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "exceed the work guard 100000000" in captured.err
+    assert "drift classes exceed 10000000, the lesser of --max-work" in captured.err
+
+
+@pytest.mark.parametrize(
+    "specs, peak, mean",
+    [
+        (["hedis:n=113", "hedis:n=130"], "14464", "2991.32838402"),
+        (["todis:n=299", "todis:n=59"], "14749", "2007.09717124"),
+    ],
+    ids=["hedis", "todis"],
+)
+def test_cmd_verify_answers_when_classes_fit_though_the_lcm_does_not(specs, peak, mean, capsys):
+    # lcm(T_a, T_b) passes --max-work, but exhaustive verify lists only b's T_b classes
+    assert main(["verify", *specs]) == 0
+    out = capsys.readouterr().out
+    assert f"all_discover=true\nmax_latency={peak}\nmean_latency={mean}\n" in out
+    assert out.endswith("exhaustive=true\n")
+
+
+@pytest.mark.parametrize(
+    "argv, classes, limit",
+    [
+        (["hedis:n=40", "hedis:n=60", "--max-work", "3539"], 3540, 3539),
+        (["todis:n=5", "todis:n=100001", "--max-work", str(10**20)], 1000029999899997, 10**7),
+    ],
+    ids=["max-work", "class cap"],
+)
+def test_cmd_verify_refuses_classes_past_each_bound_before_building(
+    monkeypatch, capsys, argv, classes, limit
+):
+    def no_build(params):
+        pytest.fail(f"built {params} before the drift-class guard")
+
+    monkeypatch.setattr(protocols, "build_schedule", no_build)
+    assert main(["verify", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {classes} drift classes exceed {limit}, the lesser of --max-work and the "
+        "10000000-class cap; pass --sample N (sample=N in the library) to verify a seeded subset\n"
+    )
 
 
 @pytest.mark.parametrize("sample", [0, -5])
@@ -476,7 +530,8 @@ def test_process_refuses_drift_classes_past_the_cap_within_1_gb(argv, tmp_path):
                           capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
-    assert "drift classes exceed the cap 10000000; pass --sample N" in proc.stderr
+    assert ("drift classes exceed 10000000, the lesser of --max-work and the 10000000-class "
+            "cap; pass --sample N") in proc.stderr
 
 
 def test_cmd_verify_budget_errors_name_the_sample_option(capsys):

@@ -110,8 +110,9 @@ def test_readme_command_output_unchanged(
         ("simulate --protocols all --delta-a 1% --delta-b 5% --trials 0 --out r", 2, "",
          "error: trials must be >= 1, got 0\n"),
         ("verify todis:n=5001 todis:n=4999", 2, "",
-         "error: 624999750000009 drifts exceed the work guard 100000000; "
-         "pass --sample N (sample=N in the library) to verify a seeded subset\n"),
+         "error: 124924995003 drift classes exceed 10000000, the lesser of --max-work and "
+         "the 10000000-class cap; pass --sample N (sample=N in the library) to verify a "
+         "seeded subset\n"),
         ("--version", 0, f"{__version__}\n", ""),
     ],
     ids=["in-row errors", "refused trials", "work guard", "version"],

@@ -33,8 +33,9 @@ def _max_and_mean(slots):
 )
 def test_hedis_against_todis_over_every_drift_class(duties):
     delta_a, delta_b = (Fraction(d, 100) for d in duties)
-    a = protocols.build_schedule(select_params("hedis", delta_a).params)
-    b = protocols.build_schedule(select_params("hedis", delta_b).params)
+    hedis_a = select_params("hedis", delta_a).params
+    hedis_b = select_params("hedis", delta_b).params
+    a, b = protocols.build_schedule(hedis_a), protocols.build_schedule(hedis_b)
     hedis = list(simulator._sweep(a, b, range(b.period)).values())
 
     todis_a = select_params("todis", delta_a).params
@@ -44,3 +45,7 @@ def test_hedis_against_todis_over_every_drift_class(duties):
     )
     assert len(hedis) == b.period and len(todis) == todis_b.period
     assert (_max_and_mean(hedis), _max_and_mean(todis)) == PHASE0_TABLE[duties]
+    # verify, the engine behind every column of README's comparison, agrees
+    for pair, (peak, mean) in zip([(hedis_a, hedis_b), (todis_a, todis_b)], PHASE0_TABLE[duties]):
+        result = simulator.verify_all_drifts(*pair)
+        assert (result.max_latency, result.mean_latency) == (peak, float(mean))

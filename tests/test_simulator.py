@@ -295,7 +295,8 @@ def test_verify_all_drifts_caps_drift_classes_before_building(monkeypatch, a, b)
         pytest.fail(f"built {params} before the drift-class cap")
 
     monkeypatch.setattr(protocols, "build_schedule", no_build)
-    message = f"^{b.period} drift classes exceed the cap {b.period - 1}; pass --sample N "
+    message = (f"^{b.period} drift classes exceed {b.period - 1}, the lesser of --max-work "
+               f"and the {b.period - 1}-class cap; pass --sample N ")
     with pytest.raises(ScanBudgetError, match=message):
         verify_all_drifts(a, b)
 
