@@ -242,7 +242,7 @@ def cmd_simulate(args: argparse.Namespace, argv: Sequence[str]) -> int:
         _write_lines(str(out_dir / f"{protocol}_cdf.csv"), cdf_csv_rows(dist), argv, args.seed)
         value = worst_case_bound(cfg_a.params.rendezvous, cfg_b.params.rendezvous)
         bound = "" if value is None else f" bound={value}"
-        peak = max(dist.latencies) if dist.latencies else ""
+        peak = dist.latencies[-1] if dist.latencies else ""
         print(
             f"{protocol}: node_a={format_params(cfg_a.params)} "
             f"(achieved {format_rational(cfg_a.achieved_delta * 100)}%) "

@@ -71,13 +71,13 @@ def _sweep(
     """First discovery slot below ``horizon`` of each drift class asked, or None.
 
     Drift d meets at slot t iff (t + d) mod T_b is a wake slot of b, so the
-    answer depends only on the class d mod T_b.  One walk visits a's wake
-    slots t in time order up to min(horizon, lcm(T_a, T_b)), and the first
-    t at which a class meets is its first discovery.  With fewer classes
-    asked than b has wake slots, each a slot probes the unsettled classes c
-    (is slot (t + c) mod T_b awake?); otherwise it crosses b's wake slots
-    sb, settling class (sb - t) mod T_b.  Raises :class:`ScanBudgetError`
-    once more than ``max_work`` probes were spent.
+    answer depends only on the class d mod T_b; ``classes`` may repeat, and
+    each distinct one is settled once.  One walk visits a's wake slots t in
+    time order up to min(horizon, lcm(T_a, T_b)), and the first t at which a
+    class meets is its first discovery.  With fewer classes asked than b has
+    wake slots, each a slot probes the unsettled classes c (is (t + c) mod T_b
+    awake?); otherwise it crosses b's wake slots sb, settling class
+    (sb - t) mod T_b.  Raises :class:`ScanBudgetError` past ``max_work`` probes.
     """
     first: dict[int, Optional[int]] = dict.fromkeys(classes)
     unsettled = len(first)
@@ -129,8 +129,8 @@ def _drift_slots(
 
     The one place that picks the engine for a node pair.  Two parameter
     values with ``divisors`` are answered analytically and nothing is built;
-    otherwise each parameter value is built and one sweep settles the
-    drifts' classes, refused past ``max_work`` probes.
+    otherwise parameters are built and one sweep, refused past ``max_work``
+    probes, settles the drifts' classes as listed: it deduplicates repeats.
     """
     div_a, div_b = getattr(a, "divisors", None), getattr(b, "divisors", None)
     if div_a is not None and div_b is not None:
@@ -138,7 +138,7 @@ def _drift_slots(
     build = protocols.build_schedule  # via the module: the traced replay rebinds it
     a, b = (n if isinstance(n, Schedule) else build(n) for n in (a, b))
     classes = [d % b.period for d in drifts]
-    first = _sweep(a, b, set(classes), max_work=max_work)
+    first = _sweep(a, b, classes, max_work=max_work)
     return list(map(first.__getitem__, classes))
 
 
@@ -378,7 +378,7 @@ def trials_csv_rows(dist: LatencyDistribution) -> Iterable[str]:
 
 def cdf_csv_rows(dist: LatencyDistribution) -> Iterable[str]:
     """Yield CSV lines (header first) of the latency CDF at each observed
-    latency, giving the full step function."""
+    latency, giving the full step function; ``latencies`` is sorted."""
     yield CDF_CSV_HEADER
-    for latency, fraction in cdf(dist, sorted(set(dist.latencies))):
+    for latency, fraction in cdf(dist, dict.fromkeys(dist.latencies)):
         yield f"{latency},{fraction:.10g}"

@@ -301,6 +301,19 @@ def test_verify_all_drifts_caps_drift_classes_before_building(monkeypatch, a, b)
         verify_all_drifts(a, b)
 
 
+def test_exhaustive_verify_holds_each_drift_class_once():
+    # b's 32,768 classes are listed once and deduplicated once, by the
+    # sweep's dict: about 99 bytes per class; one more copy passes 120
+    a, b = SearchlightParams(2, 2), SearchlightParams(2, 8)
+    tracemalloc.start()
+    try:
+        assert verify_all_drifts(a, b).max_latency == 764
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / b.period < 120
+
+
 def _verification(slots, exhaustive):
     """Summary of per-drift first discovery slots (None: never met)."""
     found = [t for t in slots if t is not None]
