@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -22,6 +21,7 @@ from .protocols import (
     PROTOCOL_ORDER,
     NotationError,
     SelectionOptions,
+    as_fraction,
     check_count,
     escape_error,
     format_params,
@@ -56,27 +56,6 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-# Largest decimal exponent of a duty cycle: Fraction builds 10**exponent
-# exactly, and 1e-1000000 already takes about 1.1 s through every protocol.
-MAX_EXPONENT = 10**6
-
-
-def parse_delta(text: str) -> Fraction:
-    """Duty cycle from '0.05', '1/20' or '5%'; refuses an exponent past
-    :data:`MAX_EXPONENT` before building the value."""
-    token = text.strip()
-    num, _, den = token.partition("/")
-    try:
-        if num.isdigit() and den.isdigit():
-            return Fraction(int(num), int(den))  # exact, as Fraction(token) reads it
-        exponent = re.search(r"[\d.][eE]([-+]?\d+(?:_\d+)*)\s*%?$", token)
-        if not exponent or abs(int(exponent[1])) <= MAX_EXPONENT:
-            return Fraction(token[:-1]) / 100 if token.endswith("%") else Fraction(token)
-    except (ValueError, ZeroDivisionError):
-        raise NotationError(f"bad duty cycle '{text}'") from None
-    raise NotationError(f"duty cycle exponent must be within {MAX_EXPONENT} of 0, got {exponent[1]}")
-
-
 def parse_sweep(text: str) -> list[Fraction]:
     """Sweep grammar: ``reciprocal:<K>``, ``percent:<a>..<b>``, ``list:<floats>``."""
     kind, sep, rest = text.strip().partition(":")
@@ -102,7 +81,7 @@ def parse_sweep(text: str) -> list[Fraction]:
             raise NotationError(f"percent range '{rest}' outside 1..100")
         return [Fraction(p, 100) for p in range(lo, hi + 1)]
     if kind == "list":
-        return [parse_delta(tok) for tok in rest.split(",") if tok.strip()]
+        return [as_fraction(tok) for tok in rest.split(",") if tok.strip()]
     raise NotationError(f"unknown sweep kind '{kind}'")
 
 
@@ -170,7 +149,7 @@ def cmd_schedule(args: argparse.Namespace, argv: Sequence[str]) -> int:
 
 def cmd_params(args: argparse.Namespace, argv: Sequence[str]) -> int:
     _load("granularity")
-    delta = parse_delta(args.delta)
+    delta = as_fraction(args.delta)
     records = sweep(parse_protocols(args.protocols), [delta], _options_from(args))
     desired = format_rational(delta)
     lines = ["protocol,params,desired_delta,achieved_delta,relative_error"]
@@ -217,8 +196,8 @@ def cmd_verify(args: argparse.Namespace, argv: Sequence[str]) -> int:
 def cmd_simulate(args: argparse.Namespace, argv: Sequence[str]) -> int:
     _load("simulator")
     protocols = parse_protocols(args.protocols)
-    delta_a = parse_delta(args.delta_a)
-    delta_b = parse_delta(args.delta_b)
+    delta_a = as_fraction(args.delta_a)
+    delta_b = as_fraction(args.delta_b)
     options = _options_from(args)
     check_count("trials", args.trials)
     out_dir = Path(args.out)
@@ -315,8 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec_a", help="parameter notation for node a")
     p.add_argument("spec_b", help="parameter notation for node b")
     p.add_argument("--sample", type=int, default=None, help="sampled drifts instead of exhaustive")
-    p.add_argument("--max-work", type=int, default=MAX_WORK,
-                   help="most drift classes listed and, for a walk, its probes")
+    p.add_argument("--max-work", type=int, default=MAX_WORK, help="exhaustive runs only: "
+                   "most drift classes listed and, for a walk, its probes")
     common(p)
     p.set_defaults(func=cmd_verify)
 

@@ -51,6 +51,9 @@ MAX_WORK = 10**8
 MAX_DIGITS = 4300
 _DIGIT_BOUND = 10**MAX_DIGITS
 
+# Largest decimal exponent of a duty cycle's text (Fraction builds 10**exponent).
+MAX_EXPONENT = 10**6
+
 
 class ParameterError(ValueError):
     """Protocol parameter outside its legal range or its build cap."""
@@ -517,16 +520,28 @@ class NodeConfig(NamedTuple):
 
 
 def as_fraction(value) -> Fraction:
-    """Exact rational from int/str/Fraction input; a Fraction is returned itself.
+    """Exact duty cycle from a Fraction (returned itself), int, float or text.
 
     Floats go through their shortest decimal repr, so 0.05 means 1/20
-    rather than the nearest binary float.
+    rather than the nearest binary float.  Text reads as '0.05', '1/20' or
+    '5%'; an exponent past :data:`MAX_EXPONENT` is refused before the value
+    is built, and every bad token raises :class:`NotationError`.
     """
-    if isinstance(value, Fraction):
-        return value
     if isinstance(value, float):
-        return Fraction(str(value))
-    return Fraction(value)
+        value = repr(value)
+    elif not isinstance(value, str):
+        return value if isinstance(value, Fraction) else Fraction(value)
+    token = value.strip()
+    num, _, den = token.partition("/")
+    try:
+        if num.isdigit() and den.isdigit():
+            return Fraction(int(num), int(den))  # exact, as Fraction(token) reads it
+        exponent = re.search(r"[\d.][eE]([-+]?\d+(?:_\d+)*)\s*%?$", token)
+        if not exponent or abs(int(exponent[1])) <= MAX_EXPONENT:
+            return Fraction(token[:-1]) / 100 if token.endswith("%") else Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        raise NotationError(f"bad duty cycle '{value}'") from None
+    raise NotationError(f"duty cycle exponent must be within {MAX_EXPONENT} of 0, got {exponent[1]}")
 
 
 def select_params(

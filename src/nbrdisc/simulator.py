@@ -240,7 +240,8 @@ def verify_all_drifts(
     they exceed the lesser of ``max_work`` and ``MAX_WAKE_SLOTS``; a sweep
     is also refused once it spent more than ``max_work`` probes (a wake
     slots walked times b's wake-slot count).  Passing ``sample`` switches to
-    seeded sampling, flagged by ``exhaustive=False`` in the result.  Two
+    seeded sampling, flagged by ``exhaustive=False`` in the result; ``max_work``
+    binds exhaustive runs only, so a sampled walk has no probe guard.  Two
     divisibility parameter values are answered analytically, building nothing.
     """
     if max_work < 1:
@@ -296,11 +297,13 @@ def _trial_words(seed: int, count: int) -> tuple[int, ...]:
 
 
 def trial_drift(seed: int, index: int, bound: int) -> int:
-    """Deterministic drift for one trial, uniform over [0, bound).
+    """Deterministic drift for one trial: its 256-bit word mod ``bound``.
 
     Counter-based (SHA-256 of seed and trial index), so any subset of
-    trials can be evaluated in any order and still agree.  The word is drawn
-    once per (seed, index) and shared across protocols by :func:`latency_trials`.
+    trials can be evaluated in any order and still agree.  Near uniform over
+    [0, bound) for a bound far below 2**256; past it, every drift is below
+    2**256, so a 310-bit bound samples only its lowest 2**-54.  The word is
+    drawn once per (seed, index) and shared across protocols by :func:`latency_trials`.
     """
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
@@ -334,10 +337,11 @@ def latency_trials(
 
     Trial i's drift is ``trial_drift(seed, i, lcm(T_a, T_b))``: its word is
     drawn once per (seed, i), shared across protocols, and reduced by each
-    protocol's own horizon.  The exact first discovery with that horizon
-    comes analytically for two divisibility schedules (whose hyperperiods
-    can make a slot walk infeasible), else from one walk that settles the
-    drift classes of all trials.  Identical inputs give identical output.
+    protocol's own horizon, so past 2**256 every drift is below 2**256.  The
+    exact first discovery with that horizon comes analytically for two
+    divisibility schedules (whose hyperperiods can make a slot walk
+    infeasible), else from one walk that settles the drift classes of all
+    trials.  Identical inputs give identical output.
     """
     protocols.check_count("trials", trials)
     horizon = lcm(cfg_a.params.period, cfg_b.params.period)

@@ -12,8 +12,8 @@ from pathlib import Path
 import pytest
 
 from nbrdisc import cli, protocols
-from nbrdisc.cli import main, parse_delta, parse_protocols, parse_sweep
-from nbrdisc.granularity import BoundDomainError
+from nbrdisc.cli import main, parse_protocols, parse_sweep
+from nbrdisc.granularity import BoundDomainError, relative_error, todis_error_upper_bound
 from nbrdisc.protocols import (
     PROTOCOL_ORDER,
     NotationError,
@@ -22,21 +22,24 @@ from nbrdisc.protocols import (
     SelectionError,
     SelectionOptions,
     TodisParams,
+    as_fraction,
+    select_params,
 )
+from test_cli_fuzz import BAD_DELTAS, DELTAS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_parse_delta_forms():
-    assert parse_delta("0.05") == Fraction(1, 20)
-    assert parse_delta("1/20") == Fraction(1, 20)
-    assert parse_delta("5%") == Fraction(1, 20)
+    assert as_fraction("0.05") == Fraction(1, 20)
+    assert as_fraction("1/20") == Fraction(1, 20)
+    assert as_fraction("5%") == Fraction(1, 20)
     with pytest.raises(NotationError):
-        parse_delta("lots")
+        as_fraction("lots")
 
 
 def _fraction_text(text):
-    """``parse_delta`` through ``Fraction(str)`` alone: the value, or the error text."""
+    """``as_fraction`` of text through ``Fraction(str)`` alone: the value, or the error text."""
     token = text.strip()
     try:
         return Fraction(token[:-1]) / 100 if token.endswith("%") else Fraction(token)
@@ -53,11 +56,62 @@ def test_parse_delta_fast_path_matches_fraction_text(token):
     # p/q tokens of digits (any Unicode isdigit) skip Fraction's parser and go through int();
     # every token reads as Fraction(str) reads it, value or error
     try:
-        got = parse_delta(token)
+        got = as_fraction(token)
     except NotationError as exc:
         got = str(exc)
     expected = _fraction_text(token)
     assert got == expected and type(got) is type(expected)
+
+
+HUGE_EXPONENTS = ["1e-99999999", "1e-100000000"]
+LIBRARY_CALLS = [(select_params, "hedis"), (relative_error, "hedis"), (todis_error_upper_bound,)]
+
+
+@pytest.mark.parametrize("token", [t for t in DELTAS + BAD_DELTAS if t not in HUGE_EXPONENTS])
+def test_library_reads_a_duty_cycle_as_the_cli_does(token, capsys):
+    # every library entry that takes a duty cycle answers or raises a ValueError
+    # (any other type fails here), and refuses what the CLI refuses, with its message
+    for call, *args in LIBRARY_CALLS:
+        try:
+            call(*args, token)
+        except ValueError:
+            pass
+    rc = main(["params", "--protocols", "hedis", f"--delta={token}"])
+    err = capsys.readouterr().err
+    try:
+        select_params("hedis", token)
+    except NotationError as exc:
+        assert (rc, err) == (2, f"error: {exc}\n")
+    except ValueError:
+        assert rc == 1
+    else:
+        assert rc == 0
+
+
+def test_library_refuses_a_huge_exponent_at_once(capsys):
+    # the exponent is refused before 10**k is built, so the child never nears its timeout
+    child = (
+        "import sys, time\n"
+        "from nbrdisc.granularity import relative_error, todis_error_upper_bound\n"
+        "from nbrdisc.protocols import select_params\n"
+        "for token in sys.argv[1:]:\n"
+        "    for call, *args in [(select_params, 'hedis'), (relative_error, 'hedis'),\n"
+        "                        (todis_error_upper_bound,)]:\n"
+        "        start = time.perf_counter()\n"
+        "        try:\n"
+        "            call(*args, token)\n"
+        "        except Exception as exc:\n"
+        "            print(type(exc).__name__, exc, time.perf_counter() - start < 1, sep='|')\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", child, *HUGE_EXPONENTS],
+                          env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, timeout=10)
+    expected = []
+    for token in HUGE_EXPONENTS:
+        assert main(["params", "--protocols", "hedis", f"--delta={token}"]) == 2
+        message = capsys.readouterr().err.removeprefix("error: ").rstrip("\n")
+        expected += [f"NotationError|{message}|True"] * 3
+    assert (proc.returncode, proc.stdout.splitlines()) == (0, expected)
 
 
 def test_parse_sweep_grammar():

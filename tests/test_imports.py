@@ -1,0 +1,37 @@
+"""Every name a package module imports is read in that module, or exported."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nbrdisc"
+
+
+def unread_imports(source: str) -> list[str]:
+    """Names bound by an import (``__future__`` aside) that the module never
+    reads, less those listed in its ``__all__``."""
+    tree = ast.parse(source)
+    imported = set()
+    exported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported.update(ast.literal_eval(node.value))
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return sorted(imported - read - exported)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_import_is_read(path):
+    assert unread_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_an_unread_import_is_found():
+    assert unread_imports("import re\nimport os.path\nos.sep\n") == ["re"]
+    assert unread_imports("from . import a, b as c\n__all__ = ['a']\n") == ["c"]

@@ -788,3 +788,4 @@ def test_library_refuses_counts_past_the_cap_before_drawing_words(call, message)
 def test_as_fraction_reads_ints_and_strings():
     assert as_fraction(3) == Fraction(3) and type(as_fraction(3)) is Fraction
     assert as_fraction("1/20") == Fraction(1, 20)
+    assert as_fraction("5%") == as_fraction(0.05) == Fraction(1, 20)
