@@ -1,11 +1,13 @@
-"""Every name a package module imports is read in that module, or exported."""
+"""Every name a package or test module imports is read in that module, or exported."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nbrdisc"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "nbrdisc"
+MODULES = [*sorted(PACKAGE.glob("*.py")), *sorted((ROOT / "tests").glob("*.py"))]
 
 
 def unread_imports(source: str) -> list[str]:
@@ -27,7 +29,9 @@ def unread_imports(source: str) -> list[str]:
     return sorted(imported - read - exported)
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", MODULES, ids=lambda p: p.name if p.parent == PACKAGE else f"tests/{p.name}"
+)
 def test_every_import_is_read(path):
     assert unread_imports(path.read_text(encoding="utf-8")) == []
 

@@ -394,8 +394,8 @@ def test_todis_discovery_bounded_across_parameter_grid():
     # All odd pairs in [5, 41]^2: exhaustive drifts while the joint
     # hyperperiod is small, a seeded drift sample beyond that (full
     # exhaustion over hyperperiods in the millions is not desk-scale).
-    # One batched analytic call per pair; test_simulator.py checks the
-    # batched engine against the per-drift first_discovery_analytic.
+    # One batched analytic call per pair; the oracle in test_simulator.py
+    # checks the batched engine against a fresh solve per drift.
     from nbrdisc.simulator import _analytic_latency, trial_drift
 
     odd = range(5, 42, 2)

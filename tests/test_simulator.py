@@ -1,5 +1,6 @@
 """Discovery engines, drift verification, latency trials and CDFs."""
 
+import functools
 import hashlib
 import itertools
 import math
@@ -20,6 +21,8 @@ from nbrdisc.protocols import (
     PROTOCOL_ORDER,
     DiscoParams,
     HedisParams,
+    NodeConfig,
+    ProtocolParams,
     SearchlightParams,
     SelectionOptions,
     TodisParams,
@@ -29,7 +32,7 @@ from nbrdisc.protocols import (
     coprimality_schedule,
     select_params,
 )
-from nbrdisc.schedule import make_schedule
+from nbrdisc.schedule import Schedule, duty_cycle, make_schedule
 from nbrdisc.simulator import (
     DiscoveryResult,
     DriftedPair,
@@ -114,76 +117,6 @@ def test_analytic_counterexample_sets_fail_for_some_drift():
     assert failing  # at least one failing drift exists
 
 
-def test_analytic_matches_scan_on_random_configs():
-    rng = random.Random(17)
-    checked = 0
-    while checked < 120:
-        na = {rng.randint(2, 40) for _ in range(rng.randint(1, 3))}
-        nb = {rng.randint(2, 40) for _ in range(rng.randint(1, 3))}
-        a = coprimality_schedule(na)
-        b = coprimality_schedule(nb)
-        if lcm(a.period, b.period) > 10**5:
-            continue
-        d = rng.randrange(lcm(a.period, b.period))
-        assert first_discovery_analytic(na, nb, d) == first_discovery(
-            DriftedPair(a, b, d)
-        )
-        checked += 1
-
-
-def _per_drift_analytic(na, nb, drift):
-    """Reference: every cross pair solved afresh for this one drift."""
-    bases = [
-        sol.base
-        for x in set(na)
-        for y in set(nb)
-        if (sol := solve_congruence_pair(0, x, -drift, y))
-    ]
-    return min(bases, default=None)
-
-
-def test_analytic_matches_per_drift_solver():
-    rng = random.Random(29)
-    # never-meeting sets, gcd > 1 pairs, singletons and sets holding 1
-    cases = [({33, 35}, {75, 77}), ({6}, {4}), ({7}, {7}), ({1}, {12}), ({9, 1}, {6})]
-    for _ in range(300):
-        cases.append((
-            {rng.randint(1, 60) for _ in range(rng.randint(1, 4))},
-            {rng.randint(1, 60) for _ in range(rng.randint(1, 4))},
-        ))
-    misses = 0
-    for na, nb in cases:
-        span = 1
-        for v in na | nb:
-            span = lcm(span, v)
-        drifts = [0, 1, -1, span, -span] + [
-            rng.randint(-3 * span, 3 * span) for _ in range(20)
-        ]
-        for d in drifts:
-            ref = _per_drift_analytic(na, nb, d)
-            misses += ref is None
-            assert first_discovery_analytic(na, nb, d) == DiscoveryResult(
-                ref is not None, ref
-            )
-    assert misses  # the never-meeting cases were exercised
-
-
-@pytest.mark.parametrize("protocol", ["disco", "todis"])
-def test_latency_trials_analytic_matches_per_drift_solver(protocol):
-    # both orders: at 5%/1% todis b's divisors reach 301, so its residue
-    # tables hold up to 301 entries instead of at most 61
-    for delta_a, delta_b in ((1, 5), (5, 1)):
-        cfg_a = select_params(protocol, Fraction(delta_a, 100))
-        cfg_b = select_params(protocol, Fraction(delta_b, 100))
-        na, nb = cfg_a.params.divisors, cfg_b.params.divisors
-        horizon = lcm(cfg_a.params.period, cfg_b.params.period)
-        dist = latency_trials(cfg_a, cfg_b, 500, seed=5)
-        assert len(dist.drifts) == len(dist.slots) == 500
-        for i, (drift, slot) in enumerate(zip(dist.drifts, dist.slots)):
-            assert drift == trial_drift(5, i, horizon)
-            assert slot == _per_drift_analytic(na, nb, drift), (delta_a, delta_b, drift)
-
-
 @pytest.mark.parametrize("count", [1, 5000])
 def test_analytic_solves_each_cross_pair_once_per_call(monkeypatch, count):
     # a work count: one congruence per cross pair, however many drifts are asked
@@ -204,28 +137,6 @@ def test_analytic_solves_each_cross_pair_once_per_call(monkeypatch, count):
         solves.clear()
         assert len(simulator._analytic_latency(na, nb, drifts)) == count
         assert len(solves) == len(na) * len(nb), (na, nb)
-
-
-def test_batched_analytic_matches_per_drift_solver():
-    # one call over a long drift list, against a fresh solve per drift
-    rng = random.Random(41)
-    cases = [({7}, {12}), ({6}, {4}), ({33, 35}, {75, 77}), ({1}, {9}), ({1, 4}, {6, 1})]
-    cases += [
-        ({rng.randint(1, 60) for _ in range(rng.randint(1, 4))},
-         {rng.randint(1, 60) for _ in range(rng.randint(1, 4))})
-        for _ in range(60)
-    ]
-    misses = 0
-    for na, nb in cases:
-        span = 1
-        for v in na | nb:
-            span = lcm(span, v)
-        drifts = [0, 1, -1, span, -span, 10**30 + 1, -(10**30)]
-        drifts += [rng.randint(-5 * span, 5 * span) for _ in range(300)]
-        expected = [_per_drift_analytic(na, nb, d) for d in drifts]
-        misses += expected.count(None)
-        assert simulator._analytic_latency(na, nb, drifts) == expected, (na, nb)
-    assert misses  # the never-meeting drifts were exercised
 
 
 def test_analytic_rejects_empty_divisor_sets():
@@ -314,23 +225,25 @@ def test_exhaustive_verify_holds_each_drift_class_once():
     assert peak / b.period < 120
 
 
-def _verification(slots, exhaustive):
-    """Summary of per-drift first discovery slots (None: never met)."""
-    found = [t for t in slots if t is not None]
-    return DriftVerification(
-        all_discover=len(found) == len(slots),
-        max_latency=max(found) if found else None,
-        mean_latency=sum(found) / len(found) if found else None,
-        exhaustive=exhaustive,
-        drifts_checked=len(slots),
-    )
+def test_first_discovery_walks_the_sparser_schedule():
+    # walking the always-awake a would visit every slot up to the meeting
+    dense, sparse = make_schedule(1, [0]), make_schedule(10**7, [10**7 - 1])
+    for drift, slot in ((0, 10**7 - 1), (3, 10**7 - 4)):
+        start = time.perf_counter()
+        res = first_discovery(DriftedPair(dense, sparse, drift))
+        assert time.perf_counter() - start < 0.5
+        assert res == DiscoveryResult(True, slot)
 
 
-def _per_drift_verification(a, b, drifts, exhaustive):
-    """Reference: one independent one-drift walk per drift, summarised per drift."""
-    return _verification(
-        [first_discovery(DriftedPair(a, b, d)).slot for d in drifts], exhaustive
-    )
+# --------------------------------------------------------------------------
+# One seeded oracle: every discovery engine against slot-by-slot search
+# --------------------------------------------------------------------------
+
+WALK_SPAN = 10**6  # the largest hyperperiod the oracle builds nodes for and walks
+BRUTE_SPAN = 2000  # past it, two divisor sets are checked against _per_drift_analytic
+WALK_WORK = 10**5  # past BRUTE_SPAN, the most hyperperiod x drifts walked for divisor sets
+EXHAUSTIVE_CLASSES = 700  # the most drift classes of b verified exhaustively: todis:n=9 has 693
+ALWAYS = make_schedule(1, [0])
 
 
 def _brute_first(a, b, drift, horizon):
@@ -345,11 +258,393 @@ def _brute_first(a, b, drift, horizon):
     )
 
 
+def _per_drift_analytic(na, nb, drift):
+    """Reference for divisor sets: every cross pair solved afresh for this one drift."""
+    bases = [
+        sol.base
+        for x in set(na)
+        for y in set(nb)
+        if (sol := solve_congruence_pair(0, x, -drift, y))
+    ]
+    return min(bases, default=None)
+
+
+def _found(slot):
+    return DiscoveryResult(slot is not None, slot)
+
+
+def _verification(slots, exhaustive, drifts_checked):
+    """Summary of per-drift first discovery slots (None: never met)."""
+    found = [t for t in slots if t is not None]
+    return DriftVerification(
+        all_discover=len(found) == len(slots),
+        max_latency=max(found) if found else None,
+        mean_latency=sum(found) / len(found) if found else None,
+        exhaustive=exhaustive,
+        drifts_checked=drifts_checked,
+    )
+
+
+def _config(node):
+    """A node as a NodeConfig; latency_trials reads only its ``params``."""
+    duty = duty_cycle(node) if isinstance(node, Schedule) else node.duty
+    return NodeConfig(duty, node, duty)
+
+
+class _Case:
+    """One oracle case: nodes a and b, and what is asked of them.
+
+    A node is a divisor set, a built ``Schedule`` or parameters.  Every
+    engine answers ``drifts`` at the hyperperiod, one call per drift for
+    those that take one, and ``hand`` adds the hand-written drifts;
+    ``batch`` is asked in one call only.  ``probes`` adds (drift, horizon)
+    questions for the engines that take a horizon.  Each sample size runs
+    with each seed, and ``exhaustive`` asks for every drift.  Nodes are
+    built and walked while the hyperperiod is at most WALK_SPAN; divisor
+    sets past BRUTE_SPAN only while it times the drifts asked is at most
+    WALK_WORK, as a drift that never meets walks the whole hyperperiod.
+    Built parameters also run unbuilt, and in both mixes of the two.
+    """
+
+    def __init__(self, a, b, drifts=(), batch=(), probes=(), samples=(), seeds=(0,),
+                 exhaustive=False, hand=True):
+        sets = [n if isinstance(n, frozenset) else getattr(n, "divisors", None) for n in (a, b)]
+        self.periods = [math.lcm(*n) if isinstance(n, frozenset) else n.period for n in (a, b)]
+        self.span = span = lcm(*self.periods)
+        self.sets = None if None in sets else sets
+        self.drifts = (*((0, 1, -1, span, -span, 10**30 + 1, -(10**30)) if hand else ()), *drifts)
+        self.batch = (*self.drifts, *batch)
+        self.probes = {}  # horizon -> drifts asked below it, besides the hyperperiod
+        for drift, horizon in probes:
+            self.probes.setdefault(horizon, []).append(drift)
+        self.samples, self.seeds = sorted({k for k in samples if k > 0}), seeds
+        self.classes = self.periods[1] if exhaustive else 0
+        params = isinstance(a, ProtocolParams)
+        self.walk, self.nodes = (), [(a, b)] if params else []
+        work = span * len(self.batch) if isinstance(a, frozenset) and span > BRUTE_SPAN else 0
+        if span <= WALK_SPAN and work <= WALK_WORK:
+            self.walk = A, B = [
+                coprimality_schedule(n) if isinstance(n, frozenset)
+                else n if isinstance(n, Schedule) else n.build()
+                for n in (a, b)
+            ]
+            self.nodes += [(a, B), (A, b), (A, B)] if params else [(A, B)]
+        self.name = f"{a!r} / {b!r}"
+        self.refs = {}  # (drift class, horizon, swapped) -> first meeting
+
+    def __repr__(self):
+        return self.name
+
+    def asked(self, drifts):
+        """(horizon, drifts asked below it) pairs: ``drifts`` at the hyperperiod, then the probes."""
+        return [(self.span, drifts), *self.probes.items()]
+
+    def ref(self, drift, horizon=None, swapped=False):
+        """First meeting below ``horizon`` (the hyperperiod by default), of b
+        and a under the same drift when ``swapped``.  It depends on the drift
+        only through its class modulo the second node's period, so each class
+        is worked out once."""
+        horizon = horizon or self.span
+        key = drift % self.periods[not swapped], horizon, swapped
+        if key not in self.refs:
+            if self.sets and horizon >= self.span > BRUTE_SPAN:
+                na, nb = self.sets[::-1] if swapped else self.sets
+                self.refs[key] = _per_drift_analytic(na, nb, drift)
+            else:
+                a, b = self.walk[::-1] if swapped else self.walk
+                self.refs[key] = _brute_first(a, b, drift, horizon)
+        return self.refs[key]
+
+    @functools.cached_property
+    def sampled(self):
+        """Each sampled run: its seed, its size and its drifts."""
+        runs = []
+        for seed in self.seeds:
+            words = [trial_drift(seed, i, self.span) for i in range(max(self.samples))]
+            runs += [(seed, k, words[:k]) for k in self.samples]
+        return runs
+
+
+def _random_set(rng, low, high, most):
+    return frozenset({rng.randint(low, high) for _ in range(rng.randint(1, most))})
+
+
 def _random_schedule(rng):
     period = rng.randint(1, 36)
     return make_schedule(
         period, [rng.randrange(period) for _ in range(rng.randint(0, 6))]
     )
+
+
+def _random_pairs(rng, count):
+    return [(_random_schedule(rng), _random_schedule(rng)) for _ in range(count)]
+
+
+# parameter pairs in each protocol and across protocols, divisor sets or not
+PROTOCOL_PAIRS = [
+    (DiscoParams(3, 5), DiscoParams(5, 7)),
+    (DiscoParams(7, 11), DiscoParams(3, 5)),
+    (TodisParams(5), TodisParams(7)),
+    (TodisParams(13), TodisParams(9)),
+    (UConnectParams(5), UConnectParams(7)),
+    (SearchlightParams(2, 3), SearchlightParams(2, 5)),
+    (HedisParams(4), HedisParams(7)),
+    (TodisParams(9), HedisParams(4)),
+    (HedisParams(5), TodisParams(7)),
+    (DiscoParams(3, 5), UConnectParams(7)),
+    (UConnectParams(5), DiscoParams(5, 7)),
+    (DiscoParams(3, 5), TodisParams(9)),
+    (SearchlightParams(2, 4), TodisParams(5)),
+]
+# six specs over the five protocols, paired every way for the mixed node kinds
+MIXED_SPECS = [DiscoParams(3, 5), UConnectParams(5), SearchlightParams(2, 3), HedisParams(4),
+               HedisParams(5), TodisParams(5)]
+
+
+@functools.cache
+def _grid():
+    """The oracle's cases.  Each seeded generator keeps its seed, its count
+    and its order of draws, its hand-written pairs first."""
+    empty5, empty4 = make_schedule(5, []), make_schedule(4, [])
+    hand = [(S_A, S_B), (S_B, S_A), (empty5, S_B), (S_A, empty4), (ALWAYS, ALWAYS),
+            (ALWAYS, S_B), (S_A, ALWAYS)]
+    cases = [_Case(a, b, samples=(1, 2 * b.period + 3), exhaustive=True) for a, b in hand]
+    # schedules: horizons of 1, below, at and above the hyperperiod
+    rng = random.Random(31)
+    pairs = hand[:4] + _random_pairs(rng, 400)
+    for a, b in pairs:
+        span = lcm(a.period, b.period)
+        drift = rng.randint(-3 * span, 3 * span)
+        horizons = (1, rng.randint(1, span), span, span + rng.randint(1, 2 * span))
+        cases.append(_Case(a, b, probes=[(drift, h) for h in horizons], hand=False))
+    # schedules: every drift, and samples on either side of |b.active| and of T_b
+    pairs = hand[:3] + _random_pairs(random.Random(23), 300)
+    cases += [_Case(a, b, samples=(1, b.period - 1, b.period, 2 * b.period + 3), seeds=(4,),
+                    exhaustive=True, hand=False) for a, b in pairs]
+    pairs = [hand[0], hand[2], *_random_pairs(random.Random(37), 150)]
+    cases += [_Case(a, b, samples=(1, len(b.active) - 1, len(b.active), 2 * b.period + 3),
+                    seeds=(9,), exhaustive=True, hand=False) for a, b in pairs]
+    # divisor sets: never-meeting sets, gcd > 1 pairs, singletons and sets holding 1
+    rng = random.Random(29)
+    pairs = [({33, 35}, {75, 77}), ({6}, {4}), ({7}, {7}), ({1}, {12}), ({9, 1}, {6})]
+    pairs += [(_random_set(rng, 1, 60, 4), _random_set(rng, 1, 60, 4)) for _ in range(300)]
+    for na, nb in pairs:
+        span = math.lcm(*na, *nb)
+        drifts = [rng.randint(-3 * span, 3 * span) for _ in range(20)]
+        cases.append(_Case(frozenset(na), frozenset(nb), drifts))
+    # divisor sets: one long drift list, asked in one call
+    rng = random.Random(41)
+    pairs = [({7}, {12}), ({6}, {4}), ({33, 35}, {75, 77}), ({1}, {9}), ({1, 4}, {6, 1})]
+    pairs += [(_random_set(rng, 1, 60, 4), _random_set(rng, 1, 60, 4)) for _ in range(60)]
+    for na, nb in pairs:
+        span = math.lcm(*na, *nb)
+        batch = [rng.randint(-5 * span, 5 * span) for _ in range(300)]
+        cases.append(_Case(frozenset(na), frozenset(nb), batch=batch))
+    # divisor sets whose hyperperiod is at most 10**5
+    rng = random.Random(17)
+    count = 0
+    while count < 120:
+        na, nb = _random_set(rng, 2, 40, 3), _random_set(rng, 2, 40, 3)
+        span = math.lcm(*na, *nb)
+        if span <= 10**5:
+            cases.append(_Case(na, nb, [rng.randrange(span)], hand=False))
+            count += 1
+    # parameters, and the seeded trials of latency_trials
+    cases += [_Case(a, b, samples=(60,), seeds=(1, 7), exhaustive=True) for a, b in PROTOCOL_PAIRS]
+    cases += [_Case(a, b, samples=(40,), exhaustive=True)
+              for a, b in itertools.product(MIXED_SPECS, repeat=2)]
+    for protocol, (delta_a, delta_b) in itertools.product(("disco", "todis"), ((1, 5), (5, 1))):
+        a, b = (select_params(protocol, Fraction(d, 100)).params for d in (delta_a, delta_b))
+        cases.append(_Case(a, b, samples=(500,), seeds=(5,)))
+    for protocol in ("hedis", "uconnect", "searchlight"):
+        a, b = (select_params(protocol, Fraction(1, k)).params for k in (10, 4))
+        cases.append(_Case(a, b, samples=(b.period + 50,), seeds=(5,), exhaustive=True))
+    a, b = (select_params(p, Fraction(1, 5)).params for p in ("disco", "todis"))
+    cases.append(_Case(a, b, samples=(25,), seeds=(11,)))
+    return cases
+
+
+def _check_reference(case):
+    for drift in case.batch:  # case.ref walks these spans slot by slot
+        assert _per_drift_analytic(*case.sets, drift) == case.ref(drift), drift
+
+
+def _check_analytic(case):
+    assert simulator._analytic_latency(*case.sets, case.batch) == list(map(case.ref, case.batch))
+
+
+def _check_first_discovery_analytic(case):
+    for drift in case.drifts:
+        assert first_discovery_analytic(*case.sets, drift) == _found(case.ref(drift)), drift
+
+
+def _check_sweep_probe(case):
+    a, b = case.walk
+    size = len(b.active) - 1  # fewer classes than b's wake slots: the probing walk
+    for horizon, drifts in case.asked(case.batch):
+        for i in range(0, len(drifts), size):
+            chunk = drifts[i:i + size]
+            first = simulator._sweep(a, b, [d % b.period for d in chunk], horizon)
+            assert len(first) == len({d % b.period for d in chunk})
+            expected = [case.ref(d, horizon) for d in chunk]
+            assert [first[d % b.period] for d in chunk] == expected, horizon
+
+
+def _check_sweep_cross(case):
+    a, b = case.walk
+    start = min(a.active, default=0)
+    for horizon, drifts in case.asked(case.batch):
+        # the |b.active| classes that meet at a's first wake slot ask for the
+        # crossing walk; the classes it meets that were not asked stay out
+        classes = {(s - start) % b.period for s in b.active} | {d % b.period for d in drifts}
+        first = simulator._sweep(a, b, classes, horizon)
+        assert first.keys() == classes
+        expected = [case.ref(d, horizon) for d in drifts]
+        assert [first[d % b.period] for d in drifts] == expected, horizon
+
+
+def _check_scan(case):
+    for swapped in (False, True):
+        a, b = case.walk[::-1] if swapped else case.walk
+        for horizon, drifts in case.asked(case.drifts):
+            for drift in drifts:
+                expected = _found(case.ref(drift, horizon, swapped))
+                assert simulator._scan(a, b, drift, horizon) == expected, (swapped, drift, horizon)
+
+
+def _check_first_discovery(case):
+    a, b = case.walk
+    for i, (horizon, drifts) in enumerate(case.asked(case.drifts)):
+        for drift in drifts:
+            # the hyperperiod's drifts take the default horizon
+            result = first_discovery(DriftedPair(a, b, drift), horizon if i else None)
+            assert result == _found(case.ref(drift, horizon)), (drift, horizon)
+
+
+def _check_drift_slots(case):
+    expected = list(map(case.ref, case.batch))
+    for a, b in case.nodes:
+        assert simulator._drift_slots(a, b, case.batch) == expected, (a, b)
+
+
+def _check_verify_exhaustive(case):
+    # each of b's T_b drift classes holds span / T_b drifts, so the summary
+    # over the classes is the one over every drift, its mean included
+    expected = _verification(list(map(case.ref, range(case.classes))), True, case.span)
+    for a, b in case.nodes:
+        assert verify_all_drifts(a, b) == expected, (a, b)
+
+
+def _check_verify_sampled(case):
+    for seed, k, drifts in case.sampled:
+        expected = _verification(list(map(case.ref, drifts)), False, k)
+        for a, b in case.nodes:
+            assert verify_all_drifts(a, b, sample=k, seed=seed) == expected, (a, b, seed, k)
+
+
+def _check_latency_trials(case):
+    # trial i's drift does not depend on the trial count, so each seed's
+    # largest run holds its smaller ones
+    a, b = case.nodes[0]  # parameters when the case has them
+    for seed, k, drifts in case.sampled:
+        if k == case.samples[-1]:
+            slots = tuple(map(case.ref, drifts))
+            found = tuple(sorted(t for t in slots if t is not None))
+            dist = latency_trials(_config(a), _config(b), k, seed)
+            assert dist == LatencyDistribution(tuple(drifts), slots, found), (seed, k)
+
+
+# engine -> (the cases it accepts, its check against the references)
+ENGINES = {
+    "per_drift_analytic": (lambda c: c.sets and c.span <= BRUTE_SPAN, _check_reference),
+    "_analytic_latency": (lambda c: c.sets, _check_analytic),
+    "first_discovery_analytic": (lambda c: c.sets, _check_first_discovery_analytic),
+    "_sweep-probe": (lambda c: c.walk and len(c.walk[1].active) > 1, _check_sweep_probe),
+    "_sweep-cross": (lambda c: c.walk, _check_sweep_cross),
+    "_scan": (lambda c: c.walk, _check_scan),
+    "first_discovery": (lambda c: c.walk, _check_first_discovery),
+    "_drift_slots": (lambda c: c.nodes, _check_drift_slots),
+    "verify_all_drifts-exhaustive": (
+        lambda c: c.nodes and 0 < c.classes <= EXHAUSTIVE_CLASSES, _check_verify_exhaustive),
+    "verify_all_drifts-sampled": (lambda c: c.nodes and c.samples, _check_verify_sampled),
+    "latency_trials": (lambda c: c.nodes and c.samples, _check_latency_trials),
+}
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_engine_matches_the_oracle(engine):
+    accepts, check = ENGINES[engine]
+    cases = [case for case in _grid() if accepts(case)]
+    assert cases
+    for case in cases:
+        try:
+            check(case)
+        except AssertionError as error:
+            raise AssertionError(f"{engine} on {case!r}: {error}") from None
+    assert any(None in case.refs.values() for case in cases)  # never-meeting drifts were asked
+
+
+# eleven specs over the five protocols, each paired with each
+ORDER_SPECS = [DiscoParams(3, 5), DiscoParams(5, 7), UConnectParams(5), UConnectParams(7),
+               SearchlightParams(2, 2), SearchlightParams(2, 3), HedisParams(4), HedisParams(5),
+               HedisParams(7), TodisParams(5), TodisParams(7)]
+
+
+def test_meeting_does_not_depend_on_node_order():
+    # drift d meets for (a, b) exactly when -d meets for (b, a): only the latency moves
+    pairs = [*_random_pairs(random.Random(23), 300), *itertools.product(ORDER_SPECS, repeat=2)]
+    assert len(pairs) == 421
+    for a, b in pairs:
+        span = lcm(a.period, b.period)
+        forward = simulator._drift_slots(a, b, range(span))
+        backward = simulator._drift_slots(b, a, range(0, -span, -1))
+        assert [t is None for t in forward] == [t is None for t in backward], (a, b)
+        assert verify_all_drifts(a, b).all_discover == verify_all_drifts(b, a).all_discover, (a, b)
+
+
+# --------------------------------------------------------------------------
+# Pairwise checks: one engine against another on a grid of its own
+# --------------------------------------------------------------------------
+
+
+
+def test_analytic_matches_scan_on_random_configs():
+    rng = random.Random(17)
+    checked = 0
+    while checked < 120:
+        na = {rng.randint(2, 40) for _ in range(rng.randint(1, 3))}
+        nb = {rng.randint(2, 40) for _ in range(rng.randint(1, 3))}
+        a = coprimality_schedule(na)
+        b = coprimality_schedule(nb)
+        if lcm(a.period, b.period) > 10**5:
+            continue
+        d = rng.randrange(lcm(a.period, b.period))
+        assert first_discovery_analytic(na, nb, d) == first_discovery(
+            DriftedPair(a, b, d)
+        )
+        checked += 1
+
+
+@pytest.mark.parametrize("protocol", ["disco", "todis"])
+def test_latency_trials_analytic_matches_per_drift_solver(protocol):
+    # both orders: at 5%/1% todis b's divisors reach 301, so its residue
+    # tables hold up to 301 entries instead of at most 61
+    for delta_a, delta_b in ((1, 5), (5, 1)):
+        cfg_a = select_params(protocol, Fraction(delta_a, 100))
+        cfg_b = select_params(protocol, Fraction(delta_b, 100))
+        na, nb = cfg_a.params.divisors, cfg_b.params.divisors
+        horizon = lcm(cfg_a.params.period, cfg_b.params.period)
+        dist = latency_trials(cfg_a, cfg_b, 500, seed=5)
+        assert len(dist.drifts) == len(dist.slots) == 500
+        for i, (drift, slot) in enumerate(zip(dist.drifts, dist.slots)):
+            assert drift == trial_drift(5, i, horizon)
+            assert slot == _per_drift_analytic(na, nb, drift), (delta_a, delta_b, drift)
+
+
+def _per_drift_verification(a, b, drifts, exhaustive):
+    """Reference: one independent one-drift walk per drift, summarised per drift."""
+    slots = [first_discovery(DriftedPair(a, b, d)).slot for d in drifts]
+    return _verification(slots, exhaustive, len(slots))
 
 
 def test_verify_all_drifts_matches_per_drift_scan():
@@ -386,31 +681,6 @@ def test_first_discovery_matches_slot_by_slot_reference():
             ), (a, b, drift, horizon)
 
 
-def test_first_discovery_walks_the_sparser_schedule():
-    # walking the always-awake a would visit every slot up to the meeting
-    dense, sparse = make_schedule(1, [0]), make_schedule(10**7, [10**7 - 1])
-    for drift, slot in ((0, 10**7 - 1), (3, 10**7 - 4)):
-        start = time.perf_counter()
-        res = first_discovery(DriftedPair(dense, sparse, drift))
-        assert time.perf_counter() - start < 0.5
-        assert res == DiscoveryResult(True, slot)
-
-
-def test_verify_all_drifts_matches_slot_by_slot_reference():
-    rng = random.Random(37)
-    pairs = [(S_A, S_B), (make_schedule(5, []), S_B)]
-    pairs += [(_random_schedule(rng), _random_schedule(rng)) for _ in range(150)]
-    for a, b in pairs:
-        span = lcm(a.period, b.period)
-        for sample in {1, len(b.active) - 1, len(b.active), 2 * b.period + 3} - {0, -1}:
-            drifts = [trial_drift(9, i, span) for i in range(sample)]
-            expected = _verification([_brute_first(a, b, d, span) for d in drifts], False)
-            assert verify_all_drifts(a, b, sample=sample, seed=9) == expected
-        if span <= 300:
-            expected = _verification([_brute_first(a, b, d, span) for d in range(span)], True)
-            assert verify_all_drifts(a, b) == expected
-
-
 @pytest.mark.parametrize("protocol", ["hedis", "uconnect", "searchlight"])
 def test_latency_trials_class_table_matches_first_discovery(protocol):
     cfg_a = select_params(protocol, Fraction(1, 10))
@@ -424,25 +694,7 @@ def test_latency_trials_class_table_matches_first_discovery(protocol):
         assert (res.found, res.slot) == (slot is not None, slot)
 
 
-@pytest.mark.parametrize(
-    "a, b",
-    [
-        (DiscoParams(3, 5), DiscoParams(5, 7)),
-        (DiscoParams(7, 11), DiscoParams(3, 5)),
-        (TodisParams(5), TodisParams(7)),
-        (TodisParams(13), TodisParams(9)),
-        (UConnectParams(5), UConnectParams(7)),
-        (SearchlightParams(2, 3), SearchlightParams(2, 5)),
-        (HedisParams(4), HedisParams(7)),
-        (TodisParams(9), HedisParams(4)),
-        (HedisParams(5), TodisParams(7)),
-        (DiscoParams(3, 5), UConnectParams(7)),
-        (UConnectParams(5), DiscoParams(5, 7)),
-        (DiscoParams(3, 5), TodisParams(9)),
-        (SearchlightParams(2, 4), TodisParams(5)),
-    ],
-    ids=protocols.format_params,
-)
+@pytest.mark.parametrize("a, b", PROTOCOL_PAIRS, ids=protocols.format_params)
 def test_verify_all_drifts_params_match_built_schedules(a, b):
     # parameters take the pair engine's choice (analytic for two divisor
     # sets), built schedules always the sweep; every answer must agree
