@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import protocols
 from .numtheory import lcm, solve_congruence_pair
@@ -258,7 +258,7 @@ def verify_all_drifts(
         slots = _drift_slots(a, b, range(b.period), max_work)
     else:
         protocols.check_count("sample", sample)
-        slots = _drift_slots(a, b, [trial_drift(seed, i, horizon) for i in range(sample)])
+        slots = _drift_slots(a, b, [w % horizon for w in _words(seed, range(sample))])
     latencies = [t for t in slots if t is not None]
     try:
         mean = sum(latencies) / len(latencies) if latencies else None
@@ -279,21 +279,20 @@ def verify_all_drifts(
 # --------------------------------------------------------------------------
 
 
-def _words(seed: int, indices: Iterable[int]) -> tuple[int, ...]:
-    """SHA-256 of ``seed:index`` as a big-endian integer: each trial's random word."""
+def _words(seed: int, indices: Iterable[int]) -> Iterator[int]:
+    """SHA-256 of ``seed:index`` as a big-endian integer, yielded per index: the one word
+    stream, read by :func:`_trial_words`, :func:`trial_drift` and sampled verification."""
     copy = _sha256(b"%d:" % seed).copy  # hash the shared prefix once
-    words = []
     for i in indices:
         h = copy()
         h.update(b"%d" % i)
-        words.append(int.from_bytes(h.digest(), "big"))
-    return tuple(words)
+        yield int.from_bytes(h.digest(), "big")
 
 
 @lru_cache(maxsize=1)
 def _trial_words(seed: int, count: int) -> tuple[int, ...]:
     """Words of trials 0..count-1, drawn once and shared by every protocol of a run."""
-    return _words(seed, range(count))
+    return tuple(_words(seed, range(count)))
 
 
 def trial_drift(seed: int, index: int, bound: int) -> int:
@@ -302,12 +301,13 @@ def trial_drift(seed: int, index: int, bound: int) -> int:
     Counter-based (SHA-256 of seed and trial index), so any subset of
     trials can be evaluated in any order and still agree.  Near uniform over
     [0, bound) for a bound far below 2**256; past it, every drift is below
-    2**256, so a 310-bit bound samples only its lowest 2**-54.  The word is
-    drawn once per (seed, index) and shared across protocols by :func:`latency_trials`.
+    2**256, so a 310-bit bound samples only its lowest 2**-54.  The one-index
+    view of :func:`_words`: a replay seam, and the reference for the streams
+    that :func:`latency_trials` and sampled :func:`verify_all_drifts` read.
     """
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
-    return _words(seed, (index,))[0] % bound
+    return next(_words(seed, (index,))) % bound
 
 
 class LatencyDistribution(NamedTuple):
@@ -335,9 +335,9 @@ def latency_trials(
 ) -> LatencyDistribution:
     """Simulate ``trials`` independent drifts and collect first-discovery latencies.
 
-    Trial i's drift is ``trial_drift(seed, i, lcm(T_a, T_b))``: its word is
-    drawn once per (seed, i), shared across protocols, and reduced by each
-    protocol's own horizon, so past 2**256 every drift is below 2**256.  The
+    Trial i's drift is the :func:`trial_drift` of (seed, i) below lcm(T_a, T_b):
+    its word is drawn once per (seed, i), shared across protocols, and reduced
+    by each protocol's horizon, so past 2**256 every drift is below 2**256.  The
     exact first discovery with that horizon comes analytically for two
     divisibility schedules (whose hyperperiods can make a slot walk
     infeasible), else from one walk that settles the drift classes of all

@@ -607,7 +607,6 @@ def test_meeting_does_not_depend_on_node_order():
 # --------------------------------------------------------------------------
 
 
-
 def test_analytic_matches_scan_on_random_configs():
     rng = random.Random(17)
     checked = 0
@@ -623,48 +622,6 @@ def test_analytic_matches_scan_on_random_configs():
             DriftedPair(a, b, d)
         )
         checked += 1
-
-
-@pytest.mark.parametrize("protocol", ["disco", "todis"])
-def test_latency_trials_analytic_matches_per_drift_solver(protocol):
-    # both orders: at 5%/1% todis b's divisors reach 301, so its residue
-    # tables hold up to 301 entries instead of at most 61
-    for delta_a, delta_b in ((1, 5), (5, 1)):
-        cfg_a = select_params(protocol, Fraction(delta_a, 100))
-        cfg_b = select_params(protocol, Fraction(delta_b, 100))
-        na, nb = cfg_a.params.divisors, cfg_b.params.divisors
-        horizon = lcm(cfg_a.params.period, cfg_b.params.period)
-        dist = latency_trials(cfg_a, cfg_b, 500, seed=5)
-        assert len(dist.drifts) == len(dist.slots) == 500
-        for i, (drift, slot) in enumerate(zip(dist.drifts, dist.slots)):
-            assert drift == trial_drift(5, i, horizon)
-            assert slot == _per_drift_analytic(na, nb, drift), (delta_a, delta_b, drift)
-
-
-def _per_drift_verification(a, b, drifts, exhaustive):
-    """Reference: one independent one-drift walk per drift, summarised per drift."""
-    slots = [first_discovery(DriftedPair(a, b, d)).slot for d in drifts]
-    return _verification(slots, exhaustive, len(slots))
-
-
-def test_verify_all_drifts_matches_per_drift_scan():
-    rng = random.Random(23)
-    pairs = [(S_A, S_B), (S_B, S_A), (make_schedule(5, []), S_B)]
-    pairs += [(_random_schedule(rng), _random_schedule(rng)) for _ in range(300)]
-    assert any(not a.active or not b.active for a, b in pairs)
-    for a, b in pairs:
-        horizon = lcm(a.period, b.period)
-        assert verify_all_drifts(a, b) == _per_drift_verification(
-            a, b, range(horizon), True
-        )
-        # both walk modes: probing fewer classes than b has wake slots, crossing otherwise
-        for sample in (1, b.period - 1, b.period, 2 * b.period + 3):
-            if sample < 1:
-                continue
-            drifts = [trial_drift(4, i, horizon) for i in range(sample)]
-            assert verify_all_drifts(
-                a, b, sample=sample, seed=4
-            ) == _per_drift_verification(a, b, drifts, False)
 
 
 def test_first_discovery_matches_slot_by_slot_reference():
@@ -710,12 +667,15 @@ def test_todis_exhaustive_drifts_within_bound():
     # Exhaustive companion to the sampled todis grid in test_protocols.py.
     odd = range(5, 30, 2)
     schedules = {n: TodisParams(n).build() for n in odd}
+    worst = []
     for n in odd:
         for m in odd:
             result = verify_all_drifts(schedules[n], schedules[m])
             bound = worst_case_bound({n - 2, n, n + 2}, {m - 2, m, m + 2})
             assert result.exhaustive and result.all_discover, (n, m)
             assert result.max_latency <= bound, (n, m)
+            worst.append((Fraction(result.max_latency, bound), n, m))
+    assert max(worst) == (Fraction(598, 621), 25, 29)  # 26/27 of the bound
 
 
 def test_hedis_same_parity_exhaustive_guarantee():
@@ -767,14 +727,18 @@ def test_uconnect_exhaustive_guarantee():
     pairs = [(p, q) for p in primes for q in primes if p <= q]
     assert len(pairs) == 78
     schedules = {p: UConnectParams(p).build() for p in primes}
+    worst = []
     for p, q in pairs:
         result = verify_all_drifts(schedules[p], schedules[q])
         assert result.exhaustive and result.all_discover, (p, q)
         if p < q:
-            assert result.max_latency <= worst_case_bound({p}, {q}), (p, q)
+            bound = worst_case_bound({p}, {q})
+            assert result.max_latency <= bound, (p, q)
+            worst.append((Fraction(result.max_latency, bound), p, q))
         else:
             # equal primes share no co-prime pair; the half-row meets by p*(p-1)
             assert result.max_latency == p * (p - 1), p
+    assert max(worst) == (Fraction(920, 943), 23, 41)  # 40/41 of the bound
 
 
 def test_disco_exhaustive_drifts_within_bound():
@@ -782,10 +746,14 @@ def test_disco_exhaustive_drifts_within_bound():
     configs = [DiscoParams(p1, p2) for p1, p2 in zip(primes, primes[1:])]
     pairs = [(a, b) for i, a in enumerate(configs) for b in configs[i:]]
     assert len(pairs) == 78
+    worst = []
     for a, b in pairs:
         result = verify_all_drifts(a.build(), b.build())
+        bound = worst_case_bound(a.divisors, b.divisors)
         assert result.exhaustive and result.all_discover, (a, b)
-        assert result.max_latency <= worst_case_bound(a.divisors, b.divisors), (a, b)
+        assert result.max_latency <= bound, (a, b)
+        worst.append((Fraction(result.max_latency, bound), (a.p1, a.p2), (b.p1, b.p2)))
+    assert max(worst) == (Fraction(1476, 1517), (37, 41), (37, 41))  # 36/37 of the bound
 
 
 def test_searchlight_exhaustive_coverage():
@@ -841,6 +809,35 @@ def test_latency_trials_builds_each_grid_schedule_once(monkeypatch):
     assert built == [cfg.params, cfg.params]
 
 
+def test_sampled_verify_hashes_its_seed_prefix_once(monkeypatch):
+    # a work count, not a timing bound: one prefix hasher for the whole sample
+    prefixes = []
+    sha256 = simulator._sha256
+
+    def counting_sha256(data):
+        prefixes.append(data)
+        return sha256(data)
+
+    monkeypatch.setattr(simulator, "_sha256", counting_sha256)
+    result = verify_all_drifts(HedisParams(4), HedisParams(7), sample=500, seed=3)
+    assert prefixes == [b"3:"]  # not one per sampled drift
+    assert result.drifts_checked == 500
+
+
+def test_sampled_verify_streams_its_words():
+    # each word is reduced as it is drawn: the drifts, classes and slots read
+    # about 92 bytes per sample, and holding the 256-bit words (as a cached
+    # tuple does) adds about 68
+    sample = 50_000
+    tracemalloc.start()
+    try:
+        verify_all_drifts(HedisParams(40), HedisParams(60), sample=sample, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / sample < 120
+
+
 def test_trial_drift_is_deterministic_and_in_range():
     values = [trial_drift(42, i, 1000) for i in range(200)]
     assert values == [trial_drift(42, i, 1000) for i in range(200)]
@@ -859,7 +856,7 @@ def test_trial_words_are_hashlib_sha256_words():
             int.from_bytes(hashlib.sha256(b"%d:%d" % (seed, i)).digest(), "big")
             for i in range(1000)
         )
-        assert simulator._words(seed, range(1000)) == expected
+        assert tuple(simulator._words(seed, range(1000))) == expected
 
 
 def test_hashlib_fallback_writes_the_same_simulate_bytes(tmp_path):
