@@ -67,19 +67,21 @@ def _sweep(
     classes: Iterable[int],
     horizon: Optional[int] = None,
     max_work: Optional[int] = None,
-) -> dict[int, Optional[int]]:
+) -> dict[int, Optional[int]] | list[Optional[int]]:
     """First discovery slot below ``horizon`` of each drift class asked, or None.
 
     Drift d meets at slot t iff (t + d) mod T_b is a wake slot of b, so the
     answer depends only on the class d mod T_b; ``classes`` may repeat, and
-    each distinct one is settled once.  One walk visits a's wake slots t in
+    each distinct one is settled once: in a dict, or in a list indexed by
+    class when ``classes`` is range(T_b).  One walk visits a's wake slots t in
     time order up to min(horizon, lcm(T_a, T_b)), and the first t at which a
     class meets is its first discovery.  With fewer classes asked than b has
     wake slots, each a slot probes the unsettled classes c (is (t + c) mod T_b
     awake?); otherwise it crosses b's wake slots sb, settling class
     (sb - t) mod T_b.  Raises :class:`ScanBudgetError` past ``max_work`` probes.
     """
-    first: dict[int, Optional[int]] = dict.fromkeys(classes)
+    every = classes == range(b.period)  # every class asked, as exhaustive verify does
+    first = [None] * b.period if every else dict.fromkeys(classes)
     unsettled = len(first)
     end = lcm(a.period, b.period)
     if horizon is not None:
@@ -106,7 +108,7 @@ def _sweep(
             if cross:
                 for sb in row:
                     c = (sb - t) % period_b
-                    if first.get(c, t) is None:  # classes not asked read as settled
+                    if (first[c] if every else first.get(c, t)) is None:  # not asked: settled
                         first[c] = t
                         unsettled -= 1
             else:
@@ -137,6 +139,8 @@ def _drift_slots(
         return _analytic_latency(div_a, div_b, drifts)
     build = protocols.build_schedule  # via the module: the traced replay rebinds it
     a, b = (n if isinstance(n, Schedule) else build(n) for n in (a, b))
+    if drifts == range(b.period):  # every class of b: the sweep's list, as it is
+        return _sweep(a, b, drifts, max_work=max_work)
     classes = [d % b.period for d in drifts]
     first = _sweep(a, b, classes, max_work=max_work)
     return list(map(first.__getitem__, classes))
@@ -259,7 +263,7 @@ def verify_all_drifts(
     else:
         protocols.check_count("sample", sample)
         slots = _drift_slots(a, b, [w % horizon for w in _words(seed, range(sample))])
-    latencies = [t for t in slots if t is not None]
+    latencies = [t for t in slots if t is not None] if None in slots else slots
     try:
         mean = sum(latencies) / len(latencies) if latencies else None
     except OverflowError:

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from nbrdisc import protocols, simulator
+from nbrdisc import simulator
 from nbrdisc.protocols import select_params
 
 # duty a, duty b (percent) -> (hedis max, hedis mean), (todis max, todis mean)
@@ -32,20 +32,13 @@ def _max_and_mean(slots):
     "duties", list(PHASE0_TABLE), ids=[f"{a}%-{b}%" for a, b in PHASE0_TABLE]
 )
 def test_hedis_against_todis_over_every_drift_class(duties):
-    delta_a, delta_b = (Fraction(d, 100) for d in duties)
-    hedis_a = select_params("hedis", delta_a).params
-    hedis_b = select_params("hedis", delta_b).params
-    a, b = protocols.build_schedule(hedis_a), protocols.build_schedule(hedis_b)
-    hedis = list(simulator._sweep(a, b, range(b.period)).values())
-
-    todis_a = select_params("todis", delta_a).params
-    todis_b = select_params("todis", delta_b).params
-    todis = simulator._analytic_latency(
-        todis_a.divisors, todis_b.divisors, range(todis_b.period)
-    )
-    assert len(hedis) == b.period and len(todis) == todis_b.period
-    assert (_max_and_mean(hedis), _max_and_mean(todis)) == PHASE0_TABLE[duties]
+    # each protocol's first meeting per class of b, from the call exhaustive verify makes
+    pairs = [[select_params(protocol, Fraction(d, 100)).params for d in duties]
+             for protocol in ("hedis", "todis")]
+    slots = [simulator._drift_slots(a, b, range(b.period)) for a, b in pairs]
+    assert [len(s) for s in slots] == [b.period for _, b in pairs]
+    assert tuple(map(_max_and_mean, slots)) == PHASE0_TABLE[duties]
     # verify, the engine behind every column of README's comparison, agrees
-    for pair, (peak, mean) in zip([(hedis_a, hedis_b), (todis_a, todis_b)], PHASE0_TABLE[duties]):
+    for pair, (peak, mean) in zip(pairs, PHASE0_TABLE[duties]):
         result = simulator.verify_all_drifts(*pair)
         assert (result.max_latency, result.mean_latency) == (peak, float(mean))

@@ -374,22 +374,6 @@ def test_one_cap_counts_the_ranges_of_every_build(what, bound, make, slots, monk
     assert sorted(make()) == sorted(slots)
 
 
-def test_todis_discovery_bounded_for_small_pairs():
-    # Every drift between two triple-odd schedules meets within the smallest
-    # co-prime cross product.  Exhaustive over drifts for the smallest pairs.
-    from nbrdisc.simulator import first_discovery_analytic
-
-    for n, m in [(5, 5), (5, 7), (7, 9), (9, 11)]:
-        na = frozenset({n - 2, n, n + 2})
-        nb = frozenset({m - 2, m, m + 2})
-        bound = worst_case_bound(na, nb)
-        assert bound is not None
-        horizon = lcm(TodisParams(n).period, TodisParams(m).period)
-        for d in range(horizon):
-            res = first_discovery_analytic(na, nb, d)
-            assert res.found and res.slot <= bound
-
-
 def test_todis_discovery_bounded_across_parameter_grid():
     # All odd pairs in [5, 41]^2: exhaustive drifts while the joint
     # hyperperiod is small, a seeded drift sample beyond that (full

@@ -213,8 +213,9 @@ def test_verify_all_drifts_caps_drift_classes_before_building(monkeypatch, a, b)
 
 
 def test_exhaustive_verify_holds_each_drift_class_once():
-    # b's 32,768 classes are listed once and deduplicated once, by the
-    # sweep's dict: about 99 bytes per class; one more copy passes 120
+    # b's 32,768 classes are settled once, into the sweep's list indexed by
+    # class; a class-keyed dict of them reads about 99 bytes per class, and
+    # one more copy passes 120
     a, b = SearchlightParams(2, 2), SearchlightParams(2, 8)
     tracemalloc.start()
     try:
@@ -223,6 +224,19 @@ def test_exhaustive_verify_holds_each_drift_class_once():
     finally:
         tracemalloc.stop()
     assert peak / b.period < 120
+
+
+def test_exhaustive_verify_holds_one_slot_per_class():
+    # about 8.7 bytes per class: the sweep's list is the answer; a copy of it
+    # (say, of the latencies that met) reads 16.6, a class-keyed dict 98.7
+    a, b = SearchlightParams(2, 2), SearchlightParams(2, 8)
+    tracemalloc.start()
+    try:
+        assert verify_all_drifts(a, b).all_discover
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / b.period < 12
 
 
 def test_first_discovery_walks_the_sparser_schedule():
@@ -503,6 +517,12 @@ def _check_sweep_cross(case):
         assert [first[d % b.period] for d in drifts] == expected, horizon
 
 
+def _check_sweep_every(case):
+    # every class of b, as exhaustive verify asks: one list, indexed by class
+    a, b = case.walk
+    assert simulator._sweep(a, b, range(b.period)) == list(map(case.ref, range(b.period)))
+
+
 def _check_scan(case):
     for swapped in (False, True):
         a, b = case.walk[::-1] if swapped else case.walk
@@ -561,6 +581,8 @@ ENGINES = {
     "first_discovery_analytic": (lambda c: c.sets, _check_first_discovery_analytic),
     "_sweep-probe": (lambda c: c.walk and len(c.walk[1].active) > 1, _check_sweep_probe),
     "_sweep-cross": (lambda c: c.walk, _check_sweep_cross),
+    "_sweep-every": (
+        lambda c: c.walk and c.walk[1].period <= EXHAUSTIVE_CLASSES, _check_sweep_every),
     "_scan": (lambda c: c.walk, _check_scan),
     "first_discovery": (lambda c: c.walk, _check_first_discovery),
     "_drift_slots": (lambda c: c.nodes, _check_drift_slots),
@@ -605,37 +627,6 @@ def test_meeting_does_not_depend_on_node_order():
 # --------------------------------------------------------------------------
 # Pairwise checks: one engine against another on a grid of its own
 # --------------------------------------------------------------------------
-
-
-def test_analytic_matches_scan_on_random_configs():
-    rng = random.Random(17)
-    checked = 0
-    while checked < 120:
-        na = {rng.randint(2, 40) for _ in range(rng.randint(1, 3))}
-        nb = {rng.randint(2, 40) for _ in range(rng.randint(1, 3))}
-        a = coprimality_schedule(na)
-        b = coprimality_schedule(nb)
-        if lcm(a.period, b.period) > 10**5:
-            continue
-        d = rng.randrange(lcm(a.period, b.period))
-        assert first_discovery_analytic(na, nb, d) == first_discovery(
-            DriftedPair(a, b, d)
-        )
-        checked += 1
-
-
-def test_first_discovery_matches_slot_by_slot_reference():
-    rng = random.Random(31)
-    pairs = [(S_A, S_B), (S_B, S_A), (make_schedule(5, []), S_B), (S_A, make_schedule(4, []))]
-    pairs += [(_random_schedule(rng), _random_schedule(rng)) for _ in range(400)]
-    for a, b in pairs:
-        span = lcm(a.period, b.period)
-        drift = rng.randint(-3 * span, 3 * span)
-        for horizon in (1, rng.randint(1, span), span, span + rng.randint(1, 2 * span)):
-            ref = _brute_first(a, b, drift, horizon)
-            assert first_discovery(DriftedPair(a, b, drift), horizon) == DiscoveryResult(
-                ref is not None, ref
-            ), (a, b, drift, horizon)
 
 
 @pytest.mark.parametrize("protocol", ["hedis", "uconnect", "searchlight"])
@@ -931,21 +922,6 @@ def test_latency_trials_counts_are_consistent():
     assert dist.undiscovered_count == 0
     bound = worst_case_bound({55, 57, 59}, {27, 29, 31})
     assert max(dist.latencies) <= bound
-
-
-def test_latency_trials_analytic_agrees_with_scan():
-    # Force the scan path through a mixed pair and compare a divisibility
-    # pair against per-trial scans of the built schedules.
-    cfg_a = select_params("disco", Fraction(1, 5))
-    cfg_b = select_params("todis", Fraction(1, 5))
-    dist = latency_trials(cfg_a, cfg_b, 25, seed=11)
-    sched_a, sched_b = build_schedule(cfg_a.params), build_schedule(cfg_b.params)
-    horizon = lcm(sched_a.period, sched_b.period)
-    assert len(dist.drifts) == len(dist.slots) == 25
-    for drift, slot in zip(dist.drifts, dist.slots):
-        scan = first_discovery(DriftedPair(sched_a, sched_b, drift), horizon)
-        assert scan.found == (slot is not None)
-        assert scan.slot == slot
 
 
 def test_mixed_protocol_latencies_respect_bound():
