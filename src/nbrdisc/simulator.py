@@ -8,15 +8,15 @@ it meets inside the joint hyperperiod lcm(T_a, T_b), so that is the default
 search horizon.
 
 :func:`_drift_slots` picks the engine for each node pair: the analytic one
-(:func:`_analytic_latency`) for two divisor sets, else the walk over built
-schedules (:func:`_sweep`).  Drift verification, seeded latency trials and
-CDFs sit on top; identical inputs give byte-identical results.
+(:func:`_analytic_latency`) for two divisor sets, else the walk over built schedules
+(:func:`_sweep`); exhaustive verification counts two divisor sets' drift classes
+(:func:`_class_counts`).  Seeded trials and CDFs sit on top, byte-identical on rerun.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -124,6 +124,12 @@ def _sweep(
     return first
 
 
+def _divisor_sets(a: Node, b: Node) -> Optional[tuple[frozenset[int], ...]]:
+    """Both nodes' divisor sets, or None unless both are divisibility parameter values."""
+    sets = getattr(a, "divisors", None), getattr(b, "divisors", None)
+    return None if None in sets else sets
+
+
 def _drift_slots(
     a: Node, b: Node, drifts: Sequence[int], max_work: Optional[int] = None
 ) -> list[Optional[int]]:
@@ -134,9 +140,8 @@ def _drift_slots(
     otherwise parameters are built and one sweep, refused past ``max_work``
     probes, settles the drifts' classes as listed: it deduplicates repeats.
     """
-    div_a, div_b = getattr(a, "divisors", None), getattr(b, "divisors", None)
-    if div_a is not None and div_b is not None:
-        return _analytic_latency(div_a, div_b, drifts)
+    if sets := _divisor_sets(a, b):
+        return _analytic_latency(*sets, drifts)
     build = protocols.build_schedule  # via the module: the traced replay rebinds it
     a, b = (n if isinstance(n, Schedule) else build(n) for n in (a, b))
     if drifts == range(b.period):  # every class of b: the sweep's list, as it is
@@ -204,16 +209,29 @@ def _analytic_latency(
     return [None if t == never else t for t in firsts]
 
 
+def _class_counts(na: Iterable[int], nb: Iterable[int]) -> dict[Optional[int], int]:
+    """How many drift classes of b first meet at each slot (None: never), for divisor sets.
+
+    b's divisors y are pairwise co-prime, so by the Chinese remainder theorem its classes
+    d mod T_b are the tuples of residues d mod y, each once.  A class meets at the least
+    of its residues' slots in :func:`_analytic_latency`'s table for each y, so the classes
+    meeting at v or later number the product of the residues that do.
+    """
+    if math.lcm(*nb) != math.prod(ys := set(nb)):
+        raise ValueError(f"divisors {sorted(ys)} are not pairwise co-prime")
+    tables = [sorted(math.inf if t is None else t for t in _analytic_latency(na, (y,), range(y)))
+              for y in ys]  # each divisor's slots, never meeting as infinity, sorted
+    slots = sorted(set().union(*tables), reverse=True)
+    at_least = [math.prod(len(table) - bisect_left(table, v) for table in tables) for v in slots]
+    return {None if v == math.inf else v: k - k_after
+            for v, k, k_after in zip(slots, at_least, [0, *at_least]) if k > k_after}
+
+
 def first_discovery_analytic(
     na: Iterable[int], nb: Iterable[int], drift: int
 ) -> DiscoveryResult:
-    """First discovery between two divisibility schedules under drift.
-
-    Each cross pair (x, y) is solved once for drift gcd(x, y) and scaled
-    linearly by drift / gcd(x, y); the answer is the smallest slot over the
-    pairs that meet.  Agrees slot for slot with :func:`first_discovery` on
-    the equivalent schedules.
-    """
+    """First discovery between two divisibility schedules under drift: the one-drift
+    view of :func:`_analytic_latency`, slot for slot :func:`first_discovery`'s answer."""
     slot = _analytic_latency(na, nb, [drift])[0]
     return DiscoveryResult(slot is not None, slot)
 
@@ -245,12 +263,13 @@ def verify_all_drifts(
     is also refused once it spent more than ``max_work`` probes (a wake
     slots walked times b's wake-slot count).  Passing ``sample`` switches to
     seeded sampling, flagged by ``exhaustive=False`` in the result; ``max_work``
-    binds exhaustive runs only, so a sampled walk has no probe guard.  Two
-    divisibility parameter values are answered analytically, building nothing.
+    binds exhaustive runs only, so a sampled walk has no probe guard.  Two divisibility
+    parameter values build nothing, and exhaustively :func:`_class_counts` counts b's classes.
     """
     if max_work < 1:
         raise ValueError(f"max_work must be >= 1, got {max_work}")
     horizon = lcm(a.period, b.period)
+    counts = {}
     if sample is None:
         cap = protocols.MAX_WAKE_SLOTS
         if b.period > min(max_work, cap):
@@ -259,19 +278,24 @@ def verify_all_drifts(
         # Each class holds horizon // T_b drifts, so the per-class maximum
         # and mean are the per-drift ones; int/int division is correctly
         # rounded, so the mean is bit-identical to a per-drift average.
-        slots = _drift_slots(a, b, range(b.period), max_work)
+        sets = _divisor_sets(a, b)
+        counts = _class_counts(*sets) if sets else counts
+        slots = [] if sets else _drift_slots(a, b, range(b.period), max_work)
     else:
         protocols.check_count("sample", sample)
         slots = _drift_slots(a, b, [w % horizon for w in _words(seed, range(sample))])
+    # one of the listed slots and the counted classes (of two divisor sets) is empty
     latencies = [t for t in slots if t is not None] if None in slots else slots
+    never = counts.pop(None, 0) + len(slots) - len(latencies)
+    total = sum(latencies) + sum(t * k for t, k in counts.items())
+    met = len(latencies) + sum(counts.values())
     try:
-        mean = sum(latencies) / len(latencies) if latencies else None
+        mean = total / met if met else None
     except OverflowError:
-        raise ValueError(f"the mean latency of {len(latencies)} drifts is beyond "
-                         "the float range") from None
+        raise ValueError(f"the mean latency of {met} drifts is beyond the float range") from None
     return DriftVerification(
-        all_discover=len(latencies) == len(slots),
-        max_latency=max(latencies) if latencies else None,
+        all_discover=not never,
+        max_latency=max(latencies or counts, default=None),
         mean_latency=mean,
         exhaustive=sample is None,
         drifts_checked=horizon if sample is None else sample,

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,7 +29,6 @@ from nbrdisc.protocols import (
     TodisParams,
     UConnectParams,
     as_fraction,
-    build_schedule,
     coprimality_schedule,
     select_params,
 )
@@ -137,6 +137,16 @@ def test_analytic_solves_each_cross_pair_once_per_call(monkeypatch, count):
         solves.clear()
         assert len(simulator._analytic_latency(na, nb, drifts)) == count
         assert len(solves) == len(na) * len(nb), (na, nb)
+        if math.lcm(*nb) == math.prod(nb):  # b pairwise co-prime: every class of b, counted
+            solves.clear()
+            simulator._class_counts(na, nb)
+            assert len(solves) == len(na) * len(nb), (na, nb)
+
+
+def test_class_counts_refuse_b_not_pairwise_coprime():
+    # the residue tuples of 4 and 6 are not b's classes: (1, 0) is no class mod 12
+    with pytest.raises(ValueError, match="not pairwise co-prime"):
+        simulator._class_counts({1}, {4, 6})
 
 
 def test_analytic_rejects_empty_divisor_sets():
@@ -239,6 +249,19 @@ def test_exhaustive_verify_holds_one_slot_per_class():
     assert peak / b.period < 12
 
 
+def test_exhaustive_divisibility_verify_lists_no_class():
+    # b's 969,903 classes are counted from three residue tables of 97, 99 and
+    # 101 slots; listing them, one slot per class, peaked at 42.3 MB
+    tracemalloc.start()
+    try:
+        result = verify_all_drifts(TodisParams(101), TodisParams(99))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (result.all_discover, result.max_latency) == (True, 5049)
+    assert peak < 10**6
+
+
 def test_first_discovery_walks_the_sparser_schedule():
     # walking the always-awake a would visit every slot up to the meeting
     dense, sparse = make_schedule(1, [0]), make_schedule(10**7, [10**7 - 1])
@@ -258,6 +281,7 @@ BRUTE_SPAN = 2000  # past it, two divisor sets are checked against _per_drift_an
 WALK_WORK = 10**5  # past BRUTE_SPAN, the most hyperperiod x drifts walked for divisor sets
 EXHAUSTIVE_CLASSES = 700  # the most drift classes of b verified exhaustively: todis:n=9 has 693
 ALWAYS = make_schedule(1, [0])
+NEVER_MEETING = [({33, 35}, {75, 77}), ({6}, {4})]  # divisor sets with drifts that never meet
 
 
 def _brute_first(a, b, drift, horizon):
@@ -440,7 +464,7 @@ def _grid():
                     seeds=(9,), exhaustive=True, hand=False) for a, b in pairs]
     # divisor sets: never-meeting sets, gcd > 1 pairs, singletons and sets holding 1
     rng = random.Random(29)
-    pairs = [({33, 35}, {75, 77}), ({6}, {4}), ({7}, {7}), ({1}, {12}), ({9, 1}, {6})]
+    pairs = [*NEVER_MEETING, ({7}, {7}), ({1}, {12}), ({9, 1}, {6})]
     pairs += [(_random_set(rng, 1, 60, 4), _random_set(rng, 1, 60, 4)) for _ in range(300)]
     for na, nb in pairs:
         span = math.lcm(*na, *nb)
@@ -485,6 +509,18 @@ def _check_reference(case):
 
 def _check_analytic(case):
     assert simulator._analytic_latency(*case.sets, case.batch) == list(map(case.ref, case.batch))
+
+
+def _counted(case):
+    """Divisor sets whose b is pairwise co-prime, with few classes or never-meeting ones."""
+    nb = case.sets and case.sets[1]
+    return (nb and math.lcm(*nb) == math.prod(nb)
+            and (case.periods[1] <= EXHAUSTIVE_CLASSES or tuple(case.sets) in NEVER_MEETING))
+
+
+def _check_class_counts(case):
+    expected = Counter(map(case.ref, range(case.periods[1])))
+    assert simulator._class_counts(*case.sets) == expected
 
 
 def _check_first_discovery_analytic(case):
@@ -578,6 +614,7 @@ def _check_latency_trials(case):
 ENGINES = {
     "per_drift_analytic": (lambda c: c.sets and c.span <= BRUTE_SPAN, _check_reference),
     "_analytic_latency": (lambda c: c.sets, _check_analytic),
+    "_class_counts": (_counted, _check_class_counts),
     "first_discovery_analytic": (lambda c: c.sets, _check_first_discovery_analytic),
     "_sweep-probe": (lambda c: c.walk and len(c.walk[1].active) > 1, _check_sweep_probe),
     "_sweep-cross": (lambda c: c.walk, _check_sweep_cross),
@@ -627,19 +664,6 @@ def test_meeting_does_not_depend_on_node_order():
 # --------------------------------------------------------------------------
 # Pairwise checks: one engine against another on a grid of its own
 # --------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("protocol", ["hedis", "uconnect", "searchlight"])
-def test_latency_trials_class_table_matches_first_discovery(protocol):
-    cfg_a = select_params(protocol, Fraction(1, 10))
-    cfg_b = select_params(protocol, Fraction(1, 4))
-    sched_a, sched_b = build_schedule(cfg_a.params), build_schedule(cfg_b.params)
-    trials = sched_b.period + 50  # more classes than b's wake slots: the crossing walk
-    dist = latency_trials(cfg_a, cfg_b, trials, seed=5)
-    assert len(dist.drifts) == len(dist.slots) == trials
-    for drift, slot in zip(dist.drifts, dist.slots):
-        res = first_discovery(DriftedPair(sched_a, sched_b, drift))
-        assert (res.found, res.slot) == (slot is not None, slot)
 
 
 @pytest.mark.parametrize("a, b", PROTOCOL_PAIRS, ids=protocols.format_params)
