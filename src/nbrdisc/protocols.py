@@ -44,7 +44,7 @@ PRIME_POOL_LIMIT = 10_000
 # builds; the largest selectable schedule, todis n=1201, holds about 4.3 million.
 MAX_WAKE_SLOTS = 10**7
 
-# Default work guard, in drift classes listed or sweep probes, of exhaustive verification.
+# Default work guard of exhaustive verification: its engine's price, and a walk's probes.
 MAX_WORK = 10**8
 
 # Most decimal digits of a parameter, period or printed value (Python's default str limit).

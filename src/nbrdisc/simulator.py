@@ -7,16 +7,17 @@ swapping the nodes can change the answer.  If the pair is ever going to meet,
 it meets inside the joint hyperperiod lcm(T_a, T_b), so that is the default
 search horizon.
 
-:func:`_drift_slots` picks the engine for each node pair: the analytic one
-(:func:`_analytic_latency`) for two divisor sets, else the walk over built schedules
-(:func:`_sweep`); exhaustive verification counts two divisor sets' drift classes
-(:func:`_class_counts`).  Seeded trials and CDFs sit on top, byte-identical on rerun.
+:func:`_drift_slots` picks the engine for listed drifts of a node pair: the analytic
+one (:func:`_analytic_latency`) for two divisor sets, else the walk over built schedules
+(:func:`_sweep`); :func:`_profile` counts (:func:`_class_counts`) or sweeps every drift
+class.  Seeded trials and CDFs sit on top, byte-identical on rerun.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -135,10 +136,9 @@ def _drift_slots(
 ) -> list[Optional[int]]:
     """First discovery slot (or None) of each drift between two nodes.
 
-    The one place that picks the engine for a node pair.  Two parameter
-    values with ``divisors`` are answered analytically and nothing is built;
-    otherwise parameters are built and one sweep, refused past ``max_work``
-    probes, settles the drifts' classes as listed: it deduplicates repeats.
+    The one place that picks the engine for listed drifts.  Two parameter values with
+    ``divisors`` are answered analytically and nothing is built; else parameters are
+    built and one sweep, refused past ``max_work`` probes, settles each drift class once.
     """
     if sets := _divisor_sets(a, b):
         return _analytic_latency(*sets, drifts)
@@ -227,6 +227,23 @@ def _class_counts(na: Iterable[int], nb: Iterable[int]) -> dict[Optional[int], i
             for v, k, k_after in zip(slots, at_least, [0, *at_least]) if k > k_after}
 
 
+def _profile(a: Node, b: Node, max_work: int) -> dict[Optional[int], int]:
+    """How many drift classes of b first meet at each slot (None: never): the entry point
+    for every drift, as :func:`_drift_slots` is for listed ones.  Two divisor sets are
+    counted (:func:`_class_counts`) at a price of |xs|·(|ys| + Σ y) solves and table
+    entries, else b's T_b classes are swept; a price past the lesser of ``max_work`` and
+    ``MAX_WAKE_SLOTS`` raises :class:`ScanBudgetError` before anything is built."""
+    bound = min(max_work, cap := protocols.MAX_WAKE_SLOTS)
+    if sets := _divisor_sets(a, b):
+        price, unit = len(sets[0]) * (len(sets[1]) + sum(sets[1])), "solves and table entries"
+    else:
+        price, unit = b.period, "drift classes"
+    if price > bound:
+        raise ScanBudgetError(f"{price} {unit} exceed {bound}, the lesser of --max-work and the "
+                              f"{cap}-class cap; {_SAMPLE_HINT}")
+    return _class_counts(*sets) if sets else Counter(_drift_slots(a, b, range(b.period), max_work))
+
+
 def first_discovery_analytic(
     na: Iterable[int], nb: Iterable[int], drift: int
 ) -> DiscoveryResult:
@@ -256,46 +273,30 @@ def verify_all_drifts(
 ) -> DriftVerification:
     """Check that every drift (or a seeded sample of drifts) yields discovery.
 
-    Each node is a built schedule or parameters.  Exhaustive mode covers
-    every drift in [0, lcm(T_a, T_b)) through b's T_b drift classes, and
-    raises :class:`ScanBudgetError` before anything is built or listed when
-    they exceed the lesser of ``max_work`` and ``MAX_WAKE_SLOTS``; a sweep
-    is also refused once it spent more than ``max_work`` probes (a wake
-    slots walked times b's wake-slot count).  Passing ``sample`` switches to
-    seeded sampling, flagged by ``exhaustive=False`` in the result; ``max_work``
-    binds exhaustive runs only, so a sampled walk has no probe guard.  Two divisibility
-    parameter values build nothing, and exhaustively :func:`_class_counts` counts b's classes.
+    Each node is a built schedule or parameters.  Exhaustive mode covers every drift in
+    [0, lcm(T_a, T_b)) through the :func:`_profile` of b's T_b classes, refused as priced
+    there and past ``max_work`` sweep probes (a wake slots walked times b's wake slots).
+    Each class holds lcm(T_a, T_b) / T_b drifts, so the per-class maximum and mean (int/int,
+    correctly rounded) are the per-drift ones.  ``sample`` switches to seeded sampling,
+    flagged by ``exhaustive=False``, which ``max_work`` does not bind.
     """
     if max_work < 1:
         raise ValueError(f"max_work must be >= 1, got {max_work}")
     horizon = lcm(a.period, b.period)
-    counts = {}
     if sample is None:
-        cap = protocols.MAX_WAKE_SLOTS
-        if b.period > min(max_work, cap):
-            raise ScanBudgetError(f"{b.period} drift classes exceed {min(max_work, cap)}, the "
-                                  f"lesser of --max-work and the {cap}-class cap; {_SAMPLE_HINT}")
-        # Each class holds horizon // T_b drifts, so the per-class maximum
-        # and mean are the per-drift ones; int/int division is correctly
-        # rounded, so the mean is bit-identical to a per-drift average.
-        sets = _divisor_sets(a, b)
-        counts = _class_counts(*sets) if sets else counts
-        slots = [] if sets else _drift_slots(a, b, range(b.period), max_work)
+        profile = _profile(a, b, max_work)
     else:
         protocols.check_count("sample", sample)
-        slots = _drift_slots(a, b, [w % horizon for w in _words(seed, range(sample))])
-    # one of the listed slots and the counted classes (of two divisor sets) is empty
-    latencies = [t for t in slots if t is not None] if None in slots else slots
-    never = counts.pop(None, 0) + len(slots) - len(latencies)
-    total = sum(latencies) + sum(t * k for t, k in counts.items())
-    met = len(latencies) + sum(counts.values())
+        profile = Counter(_drift_slots(a, b, [w % horizon for w in _words(seed, range(sample))]))
+    never = profile.pop(None, 0)
+    met = sum(profile.values())
     try:
-        mean = total / met if met else None
+        mean = sum(t * k for t, k in profile.items()) / met if met else None
     except OverflowError:
         raise ValueError(f"the mean latency of {met} drifts is beyond the float range") from None
     return DriftVerification(
         all_discover=not never,
-        max_latency=max(latencies or counts, default=None),
+        max_latency=max(profile, default=None),
         mean_latency=mean,
         exhaustive=sample is None,
         drifts_checked=horizon if sample is None else sample,
@@ -326,12 +327,11 @@ def _trial_words(seed: int, count: int) -> tuple[int, ...]:
 def trial_drift(seed: int, index: int, bound: int) -> int:
     """Deterministic drift for one trial: its 256-bit word mod ``bound``.
 
-    Counter-based (SHA-256 of seed and trial index), so any subset of
-    trials can be evaluated in any order and still agree.  Near uniform over
-    [0, bound) for a bound far below 2**256; past it, every drift is below
-    2**256, so a 310-bit bound samples only its lowest 2**-54.  The one-index
-    view of :func:`_words`: a replay seam, and the reference for the streams
-    that :func:`latency_trials` and sampled :func:`verify_all_drifts` read.
+    Counter-based (SHA-256 of seed and trial index), so any subset of trials can be
+    evaluated in any order and still agree.  Near uniform over [0, bound) for a bound far
+    below 2**256; past it, every drift is below 2**256, so a 310-bit bound samples only its
+    lowest 2**-54.  The one-index view of :func:`_words`: a replay seam, and the reference
+    for the streams that :func:`latency_trials` and sampled :func:`verify_all_drifts` read.
     """
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
@@ -389,8 +389,7 @@ def cdf(
     """
     if dist.trial_count < 1:
         raise ValueError("distribution has no trials")
-    lats: Sequence[int] = dist.latencies
-    return [(p, bisect_right(lats, p) / dist.trial_count) for p in points]
+    return [(p, bisect_right(dist.latencies, p) / dist.trial_count) for p in points]
 
 
 # --------------------------------------------------------------------------

@@ -420,10 +420,11 @@ def test_cmd_verify_refuses_oversized_exhaustive_run_before_building(
         pytest.fail(f"built {params} before the work guard")
 
     monkeypatch.setattr(protocols, "build_schedule", no_build)
-    assert main(["verify", "todis:n=5001", "todis:n=4999"]) == 2
+    # 3 x 3 solves and 3 x 299999997 table entries
+    assert main(["verify", "todis:n=100000001", "todis:n=99999999"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "drift classes exceed 10000000, the lesser of --max-work" in captured.err
+    assert captured.err.startswith("error: 900000000 solves and table entries exceed 10000000, ")
 
 
 @pytest.mark.parametrize(
@@ -443,15 +444,18 @@ def test_cmd_verify_answers_when_classes_fit_though_the_lcm_does_not(specs, peak
 
 
 @pytest.mark.parametrize(
-    "argv, classes, limit",
+    "argv, price, limit",
     [
-        (["hedis:n=40", "hedis:n=60", "--max-work", "3539"], 3540, 3539),
-        (["todis:n=5", "todis:n=100001", "--max-work", str(10**20)], 1000029999899997, 10**7),
+        (["hedis:n=40", "hedis:n=60", "--max-work", "3539"], "3540 drift classes", 3539),
+        (["hedis:n=4", "hedis:n=3163", "--max-work", str(10**20)], "10001406 drift classes",
+         10**7),
+        (["todis:n=5", "todis:n=100000001", "--max-work", str(10**20)],
+         "900000018 solves and table entries", 10**7),
     ],
-    ids=["max-work", "class cap"],
+    ids=["max-work", "class cap", "divisibility price"],
 )
 def test_cmd_verify_refuses_classes_past_each_bound_before_building(
-    monkeypatch, capsys, argv, classes, limit
+    monkeypatch, capsys, argv, price, limit
 ):
     def no_build(params):
         pytest.fail(f"built {params} before the drift-class guard")
@@ -461,7 +465,7 @@ def test_cmd_verify_refuses_classes_past_each_bound_before_building(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        f"error: {classes} drift classes exceed {limit}, the lesser of --max-work and the "
+        f"error: {price} exceed {limit}, the lesser of --max-work and the "
         "10000000-class cap; pass --sample N (sample=N in the library) to verify a seeded subset\n"
     )
 
@@ -570,13 +574,16 @@ def test_cmd_verify_refuses_mean_beyond_float_range(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [["todis:n=5", "todis:n=100001", "--max-work", str(10**20)], ["todis:n=217", "todis:n=217"]],
+    "argv, price",
+    [(["todis:n=5", "todis:n=100000001", "--max-work", str(10**20)],
+      "900000018 solves and table entries"),
+     (["hedis:n=3163", "hedis:n=3163"], "10001406 drift classes")],
     ids=["huge-b", "same-n"],
 )
-def test_process_refuses_drift_classes_past_the_cap_within_1_gb(argv, tmp_path):
-    # exhaustive verify lists b's T_b drift classes, so it refuses T_b past
-    # MAX_WAKE_SLOTS before listing any, here under a 1 GB address-space limit
+def test_process_refuses_drift_classes_past_the_cap_within_1_gb(argv, price, tmp_path):
+    # exhaustive verify prices its engine (b's table entries of two divisor
+    # sets, else b's T_b drift classes) and refuses a price past
+    # MAX_WAKE_SLOTS before building or listing, here under a 1 GB limit
     child = ("import resource; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
              "from nbrdisc.cli import run; run()")
     proc = subprocess.run([sys.executable, "-c", child, "verify", *argv],
@@ -584,12 +591,12 @@ def test_process_refuses_drift_classes_past_the_cap_within_1_gb(argv, tmp_path):
                           capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
-    assert ("drift classes exceed 10000000, the lesser of --max-work and the 10000000-class "
+    assert (f"{price} exceed 10000000, the lesser of --max-work and the 10000000-class "
             "cap; pass --sample N") in proc.stderr
 
 
 def test_cmd_verify_budget_errors_name_the_sample_option(capsys):
-    assert main(["verify", "todis:n=5001", "todis:n=4999"]) == 2
+    assert main(["verify", "todis:n=100000001", "todis:n=99999999"]) == 2
     assert "--sample" in capsys.readouterr().err
     # the drift-class sweep's own work guard gives the same advice
     assert main(["verify", "hedis:n=4", "hedis:n=6", "--max-work", "60"]) == 2

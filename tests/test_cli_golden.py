@@ -109,8 +109,8 @@ def test_readme_command_output_unchanged(
          'disco,"error:duty cycle must be in (0; 1]; got 3/2",1.5,,', ""),
         ("simulate --protocols all --delta-a 1% --delta-b 5% --trials 0 --out r", 2, "",
          "error: trials must be >= 1, got 0\n"),
-        ("verify todis:n=5001 todis:n=4999", 2, "",
-         "error: 124924995003 drift classes exceed 10000000, the lesser of --max-work and "
+        ("verify todis:n=100000001 todis:n=99999999", 2, "",
+         "error: 900000000 solves and table entries exceed 10000000, the lesser of --max-work and "
          "the 10000000-class cap; pass --sample N (sample=N in the library) to verify a "
          "seeded subset\n"),
         ("--version", 0, f"{__version__}\n", ""),

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from nbrdisc import simulator
-from nbrdisc.protocols import select_params
+from nbrdisc.protocols import MAX_WORK, select_params
 
 # duty a, duty b (percent) -> (hedis max, hedis mean), (todis max, todis mean)
 PHASE0_TABLE = {
@@ -23,21 +23,22 @@ PHASE0_TABLE = {
 }
 
 
-def _max_and_mean(slots):
-    assert None not in slots  # every drift discovers
-    return max(slots), Fraction(sum(slots), len(slots))
+def _max_and_mean(profile):
+    assert None not in profile  # every drift discovers
+    return max(profile), Fraction(sum(t * k for t, k in profile.items()), sum(profile.values()))
 
 
 @pytest.mark.parametrize(
     "duties", list(PHASE0_TABLE), ids=[f"{a}%-{b}%" for a, b in PHASE0_TABLE]
 )
 def test_hedis_against_todis_over_every_drift_class(duties):
-    # each protocol's first meeting per class of b, from the call exhaustive verify makes
+    # each protocol's count of b's drift classes per first meeting, from the
+    # profile exhaustive verify reads
     pairs = [[select_params(protocol, Fraction(d, 100)).params for d in duties]
              for protocol in ("hedis", "todis")]
-    slots = [simulator._drift_slots(a, b, range(b.period)) for a, b in pairs]
-    assert [len(s) for s in slots] == [b.period for _, b in pairs]
-    assert tuple(map(_max_and_mean, slots)) == PHASE0_TABLE[duties]
+    profiles = [simulator._profile(a, b, MAX_WORK) for a, b in pairs]
+    assert [sum(p.values()) for p in profiles] == [b.period for _, b in pairs]
+    assert tuple(map(_max_and_mean, profiles)) == PHASE0_TABLE[duties]
     # verify, the engine behind every column of README's comparison, agrees
     for pair, (peak, mean) in zip(pairs, PHASE0_TABLE[duties]):
         result = simulator.verify_all_drifts(*pair)

@@ -13,6 +13,7 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -198,17 +199,19 @@ def test_verify_all_drifts_sweep_budget_guard():
 
 
 @pytest.mark.parametrize(
-    "a, b",
-    [(TodisParams(5), TodisParams(7)), (HedisParams(4), HedisParams(11))],
+    "a, b, price, unit",
+    # todis 5/7: 3 x 3 solves, 3 x (5 + 7 + 9) table entries; hedis 4/11: T_b classes
+    [(TodisParams(5), TodisParams(7), 72, "solves and table entries"),
+     (HedisParams(4), HedisParams(11), 110, "drift classes")],
     ids=["divisibility", "grid"],
 )
-def test_verify_all_drifts_caps_drift_classes_before_building(monkeypatch, a, b):
-    # exhaustive mode lists b's T_b drift classes: T_b at MAX_WAKE_SLOTS is
+def test_verify_all_drifts_caps_drift_classes_before_building(monkeypatch, a, b, price, unit):
+    # exhaustive mode prices its engine: a price at MAX_WAKE_SLOTS is
     # answered, one past it is refused before anything is built or listed
     expected = verify_all_drifts(a, b)
-    monkeypatch.setattr(protocols, "MAX_WAKE_SLOTS", b.period)
+    monkeypatch.setattr(protocols, "MAX_WAKE_SLOTS", price)
     assert verify_all_drifts(a, b) == expected
-    monkeypatch.setattr(protocols, "MAX_WAKE_SLOTS", b.period - 1)
+    monkeypatch.setattr(protocols, "MAX_WAKE_SLOTS", price - 1)
     # sampling lists no classes, so the cap does not bind it
     assert verify_all_drifts(a, b, sample=3).drifts_checked == 3
 
@@ -216,8 +219,8 @@ def test_verify_all_drifts_caps_drift_classes_before_building(monkeypatch, a, b)
         pytest.fail(f"built {params} before the drift-class cap")
 
     monkeypatch.setattr(protocols, "build_schedule", no_build)
-    message = (f"^{b.period} drift classes exceed {b.period - 1}, the lesser of --max-work "
-               f"and the {b.period - 1}-class cap; pass --sample N ")
+    message = (f"^{price} {unit} exceed {price - 1}, the lesser of --max-work "
+               f"and the {price - 1}-class cap; pass --sample N ")
     with pytest.raises(ScanBudgetError, match=message):
         verify_all_drifts(a, b)
 
@@ -321,6 +324,13 @@ def _verification(slots, exhaustive, drifts_checked):
         exhaustive=exhaustive,
         drifts_checked=drifts_checked,
     )
+
+
+class _Divisors(NamedTuple):
+    """A divisor set as a node: what the engines read of divisibility parameters."""
+
+    divisors: frozenset
+    period: int
 
 
 def _config(node):
@@ -591,6 +601,17 @@ def _check_verify_exhaustive(case):
         assert verify_all_drifts(a, b) == expected, (a, b)
 
 
+def _check_profile(case):
+    # every class of b, counted per first meeting: for parameters (two divisor sets
+    # or not), built schedules, each mix of the two, and divisor sets as nodes
+    expected = Counter(map(case.ref, range(case.periods[1])))
+    nodes = case.nodes if case.classes else []
+    if _counted(case):
+        nodes = [*nodes, tuple(map(_Divisors, case.sets, case.periods))]
+    for a, b in nodes:
+        assert simulator._profile(a, b, protocols.MAX_WORK) == expected, (a, b)
+
+
 def _check_verify_sampled(case):
     for seed, k, drifts in case.sampled:
         expected = _verification(list(map(case.ref, drifts)), False, k)
@@ -625,6 +646,8 @@ ENGINES = {
     "_drift_slots": (lambda c: c.nodes, _check_drift_slots),
     "verify_all_drifts-exhaustive": (
         lambda c: c.nodes and 0 < c.classes <= EXHAUSTIVE_CLASSES, _check_verify_exhaustive),
+    "_profile": (lambda c: c.nodes and 0 < c.classes <= EXHAUSTIVE_CLASSES or _counted(c),
+                 _check_profile),
     "verify_all_drifts-sampled": (lambda c: c.nodes and c.samples, _check_verify_sampled),
     "latency_trials": (lambda c: c.nodes and c.samples, _check_latency_trials),
 }
@@ -666,7 +689,9 @@ def test_meeting_does_not_depend_on_node_order():
 # --------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("a, b", PROTOCOL_PAIRS, ids=protocols.format_params)
+# the oracle holds every pair of PROTOCOL_PAIRS unbuilt, built and mixed, exhaustively and at
+# samples of 60 with seeds 1 and 7; its four divisibility pairs are checked there alone
+@pytest.mark.parametrize("a, b", PROTOCOL_PAIRS[4:], ids=protocols.format_params)
 def test_verify_all_drifts_params_match_built_schedules(a, b):
     # parameters take the pair engine's choice (analytic for two divisor
     # sets), built schedules always the sweep; every answer must agree
