@@ -151,8 +151,8 @@ def _drift_slots(
     return list(map(first.__getitem__, classes))
 
 
-def _scan(a: Schedule, b: Schedule, drift: int, horizon: int) -> DiscoveryResult:
-    """First discovery of one drift below ``horizon``: a one-class sweep.
+def _scan(a: Schedule, b: Schedule, drift: int, horizon: Optional[int] = None) -> DiscoveryResult:
+    """First discovery of one drift below ``horizon`` or the hyperperiod: a one-class sweep.
 
     The sweep walks its first schedule's wake slots, so when b wakes less
     often than a it walks b shifted back by the drift, against a as class 0.
@@ -169,9 +169,7 @@ def first_discovery(pair: DriftedPair, horizon: Optional[int] = None) -> Discove
 
     The default horizon is the joint hyperperiod lcm(T_a, T_b).
     """
-    if horizon is None:
-        horizon = lcm(pair.a.period, pair.b.period)
-    if horizon < 1:
+    if horizon is not None and horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     return _scan(pair.a, pair.b, pair.drift, horizon)
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from nbrdisc import protocols
-from nbrdisc.numtheory import lcm, primes_up_to, worst_case_bound
+from nbrdisc.numtheory import lcm, primes_up_to
 from nbrdisc.protocols import (
     PRIME_POOL_LIMIT,
     PROTOCOLS,
@@ -372,32 +372,6 @@ def test_one_cap_counts_the_ranges_of_every_build(what, bound, make, slots, monk
         make()
     monkeypatch.setattr(protocols, "MAX_WAKE_SLOTS", bound)
     assert sorted(make()) == sorted(slots)
-
-
-def test_todis_discovery_bounded_across_parameter_grid():
-    # All odd pairs in [5, 41]^2: exhaustive drifts while the joint
-    # hyperperiod is small, a seeded drift sample beyond that (full
-    # exhaustion over hyperperiods in the millions is not desk-scale).
-    # One batched analytic call per pair; the oracle in test_simulator.py
-    # checks the batched engine against a fresh solve per drift.
-    from nbrdisc.simulator import _analytic_latency, trial_drift
-
-    odd = range(5, 42, 2)
-    for n in odd:
-        for m in odd:
-            na = frozenset({n - 2, n, n + 2})
-            nb = frozenset({m - 2, m, m + 2})
-            bound = worst_case_bound(na, nb)
-            assert bound is not None
-            horizon = lcm(
-                TodisParams(n).period, TodisParams(m).period
-            )
-            if horizon <= 20_000:
-                drifts = range(horizon)
-            else:
-                drifts = [trial_drift(5 * n + m, i, horizon) for i in range(120)]
-            for d, slot in zip(drifts, _analytic_latency(na, nb, drifts), strict=True):
-                assert slot is not None and slot <= bound, (n, m, d)
 
 
 # --------------------------------------------------------------------------

@@ -685,37 +685,26 @@ def test_meeting_does_not_depend_on_node_order():
 
 
 # --------------------------------------------------------------------------
-# Pairwise checks: one engine against another on a grid of its own
+# Protocol guarantees: each protocol's worst drift against its bound, from parameter values
 # --------------------------------------------------------------------------
 
 
-# the oracle holds every pair of PROTOCOL_PAIRS unbuilt, built and mixed, exhaustively and at
-# samples of 60 with seeds 1 and 7; its four divisibility pairs are checked there alone
-@pytest.mark.parametrize("a, b", PROTOCOL_PAIRS[4:], ids=protocols.format_params)
-def test_verify_all_drifts_params_match_built_schedules(a, b):
-    # parameters take the pair engine's choice (analytic for two divisor
-    # sets), built schedules always the sweep; every answer must agree
-    built_a, built_b = a.build(), b.build()
-    assert verify_all_drifts(a, b) == verify_all_drifts(built_a, built_b)
-    for seed in (1, 7):
-        assert verify_all_drifts(a, b, sample=60, seed=seed) == verify_all_drifts(
-            built_a, built_b, sample=60, seed=seed
-        )
-
-
 def test_todis_exhaustive_drifts_within_bound():
-    # Exhaustive companion to the sampled todis grid in test_protocols.py.
-    odd = range(5, 30, 2)
-    schedules = {n: TodisParams(n).build() for n in odd}
-    worst = []
+    # every drift class of every odd pair, counted from the divisor sets
+    odd = range(5, 42, 2)
+    worst, means = [], []
     for n in odd:
         for m in odd:
-            result = verify_all_drifts(schedules[n], schedules[m])
-            bound = worst_case_bound({n - 2, n, n + 2}, {m - 2, m, m + 2})
+            a, b = TodisParams(n), TodisParams(m)
+            result = verify_all_drifts(a, b)
+            bound = worst_case_bound(a.divisors, b.divisors)
             assert result.exhaustive and result.all_discover, (n, m)
             assert result.max_latency <= bound, (n, m)
             worst.append((Fraction(result.max_latency, bound), n, m))
-    assert max(worst) == (Fraction(598, 621), 25, 29)  # 26/27 of the bound
+            means.append((result.mean_latency / bound, n, m))
+    assert max(w for w in worst if max(w[1:]) <= 29) == (Fraction(598, 621), 25, 29)  # 26/27
+    assert max(worst) == (Fraction(1330, 1365), 37, 41)  # 38/39 of the bound
+    assert max(means) == (304 / 105 / 15, 5, 7)  # the highest mean, under a fifth of the bound
 
 
 def test_hedis_same_parity_exhaustive_guarantee():
@@ -723,7 +712,7 @@ def test_hedis_same_parity_exhaustive_guarantee():
     assert len(pairs) == 392
     worst = []
     for n, m in pairs:
-        result = verify_all_drifts(HedisParams(n).build(), HedisParams(m).build())
+        result = verify_all_drifts(HedisParams(n), HedisParams(m))
         assert result.all_discover, (n, m)
         assert result.mean_latency <= 4 * n * m, (n, m)
         assert 100 * result.max_latency <= 227 * n * m, (n, m)
@@ -734,12 +723,11 @@ def test_hedis_same_parity_exhaustive_guarantee():
 def test_hedis_mixed_parity_exhaustive_discovery():
     # the parity rule is not what makes these meet: every mixed pair does,
     # in either order, as a swap only negates the drift
-    schedules = {n: HedisParams(n).build() for n in range(3, 41)}
-    pairs = [(n, m) for n in schedules for m in schedules if n < m and n % 2 != m % 2]
+    pairs = [(n, m) for n in range(3, 41) for m in range(n + 1, 41) if n % 2 != m % 2]
     assert len(pairs) == 361
     worst = []
     for n, m in pairs:
-        result = verify_all_drifts(schedules[n], schedules[m])
+        result = verify_all_drifts(HedisParams(n), HedisParams(m))
         assert result.exhaustive and result.all_discover, (n, m)
         assert 100 * result.max_latency <= 267 * n * m, (n, m)
         worst.append((Fraction(result.max_latency, n * m), n, m))
@@ -749,12 +737,11 @@ def test_hedis_mixed_parity_exhaustive_discovery():
 def test_hedis_coprime_anchors_bound_every_drift():
     # anchors at multiples of n and m meet within n*m slots when gcd(n, m) = 1
     params = {n: HedisParams(n) for n in range(3, 41)}
-    schedules = {n: p.build() for n, p in params.items()}
     pairs = [(n, m) for n in params for m in params if math.gcd(n, m) == 1]
     assert len(pairs) == 862
     worst = []
     for n, m in pairs:
-        result = verify_all_drifts(schedules[n], schedules[m])
+        result = verify_all_drifts(params[n], params[m])
         bound = worst_case_bound(params[n].rendezvous, params[m].rendezvous)
         assert result.exhaustive and result.all_discover, (n, m)
         assert result.max_latency < bound == n * m, (n, m)
@@ -766,10 +753,9 @@ def test_uconnect_exhaustive_guarantee():
     primes = [p for p in primes_up_to(41) if p > 2]
     pairs = [(p, q) for p in primes for q in primes if p <= q]
     assert len(pairs) == 78
-    schedules = {p: UConnectParams(p).build() for p in primes}
     worst = []
     for p, q in pairs:
-        result = verify_all_drifts(schedules[p], schedules[q])
+        result = verify_all_drifts(UConnectParams(p), UConnectParams(q))
         assert result.exhaustive and result.all_discover, (p, q)
         if p < q:
             bound = worst_case_bound({p}, {q})
@@ -788,7 +774,7 @@ def test_disco_exhaustive_drifts_within_bound():
     assert len(pairs) == 78
     worst = []
     for a, b in pairs:
-        result = verify_all_drifts(a.build(), b.build())
+        result = verify_all_drifts(a, b)
         bound = worst_case_bound(a.divisors, b.divisors)
         assert result.exhaustive and result.all_discover, (a, b)
         assert result.max_latency <= bound, (a, b)
@@ -797,12 +783,11 @@ def test_disco_exhaustive_drifts_within_bound():
 
 
 def test_searchlight_exhaustive_coverage():
-    schedules = {i: SearchlightParams(2, i).build() for i in range(1, 8)}
-    pairs = [(i, j) for i in schedules for j in schedules if i <= j]
+    pairs = [(i, j) for i in range(1, 8) for j in range(i, 8)]
     assert len(pairs) == 28
     maxima = {}
     for i, j in pairs:
-        result = verify_all_drifts(schedules[i], schedules[j])
+        result = verify_all_drifts(SearchlightParams(2, i), SearchlightParams(2, j))
         assert result.exhaustive and result.all_discover, (i, j)
         assert result.max_latency < 2**i * 2**j, (i, j)
         maxima[i, j] = result.max_latency
