@@ -1,7 +1,5 @@
 """gcd/lcm, the congruence-pair solver and rendezvous bounds."""
 
-import math
-
 import pytest
 
 from nbrdisc.numtheory import (
@@ -60,37 +58,6 @@ def test_solve_congruence_pair_normalizes_residues():
 def test_solve_congruence_pair_truthiness():
     assert solve_congruence_pair(0, 3, 0, 5)
     assert not solve_congruence_pair(1, 2, 0, 2)
-
-
-def test_solvability_criterion_matches_gcd_rule():
-    for m in range(1, 15):
-        for n in range(1, 15):
-            g = math.gcd(m, n)
-            for a in range(m):
-                for b in range(n):
-                    sol = solve_congruence_pair(a, m, b, n)
-                    assert sol.solvable == ((a - b) % g == 0)
-
-
-def test_solver_agrees_with_exhaustive_search_small():
-    # Full cross-product oracle on small moduli; the large version runs in
-    # the acceptance suite.
-    for m in range(1, 13):
-        for n in range(1, 13):
-            modulus = m // math.gcd(m, n) * n
-            table = {}
-            for x in range(modulus):
-                table.setdefault((x % m, x % n), x)
-            for a in range(m):
-                for b in range(n):
-                    sol = solve_congruence_pair(a, m, b, n)
-                    expected = table.get((a, b))
-                    if expected is None:
-                        assert not sol.solvable
-                    else:
-                        assert sol.solvable
-                        assert sol.base == expected
-                        assert sol.modulus == modulus
 
 
 def test_coprime_pair_property():

@@ -162,14 +162,6 @@ def test_todis_rejects_bad_n():
             TodisParams(n).build()
 
 
-def test_todis_measured_duty_matches_formula():
-    for n in range(5, 42, 2):
-        s = TodisParams(n).build()
-        assert s.period == (n - 2) * n * (n + 2)
-        assert len(s.active) == 3 * (n * n - n - 1)
-        assert duty_cycle(s) == TodisParams(n).duty
-
-
 # --------------------------------------------------------------------------
 # disco
 # --------------------------------------------------------------------------
@@ -379,91 +371,12 @@ def test_one_cap_counts_the_ranges_of_every_build(what, bound, make, slots, monk
 # --------------------------------------------------------------------------
 
 
-def test_select_hedis_exact():
-    cfg = select_params("hedis", Fraction(1, 20))
-    assert cfg.params == HedisParams(40)
-    assert cfg.achieved_delta == Fraction(1, 20)
-
-    cfg = select_params("hedis", Fraction(1, 50))
-    assert cfg.params == HedisParams(100)
-
-
-def test_select_hedis_parity_option():
-    cfg = select_params(
-        "hedis", Fraction(1, 20), SelectionOptions(hedis_parity="odd")
-    )
-    assert cfg.params.n % 2 == 1
-    assert cfg.params.n in (39, 41)
-
-
 def test_selection_options_bound_todis_max_n_by_sys_maxsize():
     # range() lengths stop at sys.maxsize: 2**70 once raised OverflowError in _closest
     with pytest.raises(ValueError, match=rf"todis_max_n must be <= {sys.maxsize}, got {2**70}$"):
         SelectionOptions(todis_max_n=2**70)
     cfg = select_params("todis", "1/100", SelectionOptions(todis_max_n=sys.maxsize))
     assert format_params(cfg.params) == "todis:n=299"
-
-
-def test_select_todis():
-    cfg = select_params("todis", Fraction(1, 20))
-    assert cfg.params == TodisParams(59)
-    assert cfg.achieved_delta == TodisParams(59).duty
-    # one step either way is strictly worse
-    for other in (57, 61):
-        assert abs(TodisParams(other).duty - Fraction(1, 20)) > abs(
-            cfg.achieved_delta - Fraction(1, 20)
-        )
-
-    cfg = select_params("todis", Fraction(57, 105))
-    assert cfg.params == TodisParams(5)
-    assert cfg.achieved_delta == Fraction(57, 105)
-
-
-def test_select_disco_picks_best_consecutive_pair():
-    # disco runs balanced pairs (a prime and its successor); the selection
-    # must beat every other consecutive pair in the pool.
-    from nbrdisc.numtheory import primes_up_to
-
-    primes = primes_up_to(10_000)
-    for delta in (Fraction(1, 20), Fraction(1, 10), Fraction(1, 100)):
-        cfg = select_params("disco", delta)
-        idx = primes.index(cfg.params.p1)
-        assert primes[idx + 1] == cfg.params.p2
-        err = abs(cfg.achieved_delta - delta)
-        for p, q in zip(primes, primes[1:]):
-            assert err <= abs(DiscoParams(p, q).duty - delta)
-
-
-def test_select_uconnect():
-    delta = Fraction(1, 20)
-    cfg = select_params("uconnect", delta)
-    err = abs(cfg.achieved_delta - delta)
-    for p in (23, 29, 31, 37):
-        assert err <= abs(UConnectParams(p).duty - delta)
-
-
-def test_select_searchlight_tie_prefers_smaller_period():
-    # 37.5% sits exactly between the supported 1/2 and 1/4; both miss by a
-    # relative error of 1/3 and the smaller hyperperiod wins.
-    cfg = select_params("searchlight", Fraction(3, 8))
-    assert cfg.params == SearchlightParams(2, 2)
-    assert abs(cfg.achieved_delta - Fraction(3, 8)) / Fraction(3, 8) == Fraction(1, 3)
-
-
-@pytest.mark.parametrize(
-    "protocol, earlier, later, expected",
-    [
-        ("disco", DiscoParams(2, 3), DiscoParams(3, 5), DiscoParams(3, 5)),
-        ("uconnect", UConnectParams(5), UConnectParams(7), UConnectParams(5)),
-        ("hedis", HedisParams(40), HedisParams(42), HedisParams(40)),
-        ("todis", TodisParams(7), TodisParams(9), TodisParams(7)),
-    ],
-)
-def test_select_exact_midpoint_tie(protocol, earlier, later, expected):
-    # disco ties (17/30 here) go to the larger pair, every other protocol's
-    # to the smaller parameter (the searchlight tie is pinned above)
-    delta = (earlier.duty + later.duty) / 2
-    assert select_params(protocol, delta).params == expected
 
 
 def _candidate_pools(options):
@@ -556,18 +469,6 @@ def test_select_params_signals_unreachable_delta():
         assert str(exc.value) == (
             f"{protocol} cannot approximate duty cycle 1/1000000 (best candidate {candidate})"
         )
-
-
-def test_select_params_achieved_matches_schedule():
-    for protocol in ("hedis", "todis", "disco", "uconnect", "searchlight"):
-        cfg = select_params(protocol, Fraction(1, 10))
-        schedule = build_schedule(cfg.params)
-        assert duty_cycle(schedule) == cfg.achieved_delta
-        assert schedule.period == cfg.params.period
-
-
-def test_float_delta_means_decimal():
-    assert select_params("hedis", 0.05).params == HedisParams(40)
 
 
 # --------------------------------------------------------------------------
