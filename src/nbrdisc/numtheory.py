@@ -67,10 +67,10 @@ def solve_congruence_pair(a: int, m: int, b: int, n: int) -> CongruenceSolution:
     if (a - b) % g:
         return _UNSOLVABLE
     modulus = m // g * n
-    # x = a + m*t with m*t = b - a (mod n); divide the congruence by g
-    # and invert the now co-prime factor m/g modulo n/g.
+    # x = a + m*t with m*t = b - a (mod n); divide the congruence by g and invert the
+    # now co-prime factor m/g modulo n/g.  As 0 <= a < m and 0 <= t < n/g, x < modulus.
     t = ((b - a) // g * pow(m // g, -1, n // g)) % (n // g)
-    return CongruenceSolution((a + m * t) % modulus, modulus, True)
+    return CongruenceSolution(a + m * t, modulus, True)
 
 
 def coprime_pair_property(na: Iterable[int], nb: Iterable[int]) -> bool:

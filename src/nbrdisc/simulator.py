@@ -9,8 +9,9 @@ search horizon.
 
 :func:`_drift_slots` picks the engine for listed drifts of a node pair: the analytic
 one (:func:`_analytic_latency`) for two divisor sets, else the walk over built schedules
-(:func:`_sweep`); :func:`_profile` counts (:func:`_class_counts`) or sweeps every drift
-class.  Seeded trials and CDFs sit on top, byte-identical on rerun.
+(:func:`_sweep`); :func:`_profile` counts every drift class of a divisor-set b, whatever
+a is (:func:`_class_counts`), and sweeps those of any other b.  Seeded trials and CDFs
+sit on top, byte-identical on rerun.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 from . import protocols
 from .numtheory import lcm, solve_congruence_pair
 from .protocols import ScanBudgetError
-from .schedule import Frozen, Schedule
+from .schedule import Frozen, Schedule, duty_cycle
 
 try:
     # hashlib is heavy to load (OpenSSL), so try CPython's lean built-in
@@ -125,12 +126,6 @@ def _sweep(
     return first
 
 
-def _divisor_sets(a: Node, b: Node) -> Optional[tuple[frozenset[int], ...]]:
-    """Both nodes' divisor sets, or None unless both are divisibility parameter values."""
-    sets = getattr(a, "divisors", None), getattr(b, "divisors", None)
-    return None if None in sets else sets
-
-
 def _drift_slots(
     a: Node, b: Node, drifts: Sequence[int], max_work: Optional[int] = None
 ) -> list[Optional[int]]:
@@ -140,7 +135,8 @@ def _drift_slots(
     ``divisors`` are answered analytically and nothing is built; else parameters are
     built and one sweep, refused past ``max_work`` probes, settles each drift class once.
     """
-    if sets := _divisor_sets(a, b):
+    sets = getattr(a, "divisors", None), getattr(b, "divisors", None)
+    if None not in sets:
         return _analytic_latency(*sets, drifts)
     build = protocols.build_schedule  # via the module: the traced replay rebinds it
     a, b = (n if isinstance(n, Schedule) else build(n) for n in (a, b))
@@ -207,18 +203,20 @@ def _analytic_latency(
     return [None if t == never else t for t in firsts]
 
 
-def _class_counts(na: Iterable[int], nb: Iterable[int]) -> dict[Optional[int], int]:
-    """How many drift classes of b first meet at each slot (None: never), for divisor sets.
+def _class_counts(a: Iterable[int] | Schedule, nb: Iterable[int]) -> dict[Optional[int], int]:
+    """How many drift classes of b first meet at each slot (None: never), for divisor set nb.
 
     b's divisors y are pairwise co-prime, so by the Chinese remainder theorem its classes
-    d mod T_b are the tuples of residues d mod y, each once.  A class meets at the least
-    of its residues' slots in :func:`_analytic_latency`'s table for each y, so the classes
-    meeting at v or later number the product of the residues that do.
+    d mod T_b are the tuples of residues d mod y, each once.  A class meets at the least of
+    its residues' slots in y's table: :func:`_analytic_latency`'s for a divisor set ``a``,
+    else a :func:`_sweep` of the built ``a`` against y's multiples, a one-slot schedule of
+    period y.  So the classes meeting at v or later number the product of the residues that do.
     """
     if math.lcm(*nb) != math.prod(ys := set(nb)):
         raise ValueError(f"divisors {sorted(ys)} are not pairwise co-prime")
-    tables = [sorted(math.inf if t is None else t for t in _analytic_latency(na, (y,), range(y)))
-              for y in ys]  # each divisor's slots, never meeting as infinity, sorted
+    tables = [sorted(math.inf if t is None else t for t in (
+        _sweep(a, Schedule(y, (0,)), range(y)) if isinstance(a, Schedule)
+        else _analytic_latency(a, (y,), range(y)))) for y in ys]  # never meeting as infinity
     slots = sorted(set().union(*tables), reverse=True)
     at_least = [math.prod(len(table) - bisect_left(table, v) for table in tables) for v in slots]
     return {None if v == math.inf else v: k - k_after
@@ -227,19 +225,27 @@ def _class_counts(na: Iterable[int], nb: Iterable[int]) -> dict[Optional[int], i
 
 def _profile(a: Node, b: Node, max_work: int) -> dict[Optional[int], int]:
     """How many drift classes of b first meet at each slot (None: never): the entry point
-    for every drift, as :func:`_drift_slots` is for listed ones.  Two divisor sets are
-    counted (:func:`_class_counts`) at a price of |xs|·(|ys| + Σ y) solves and table
-    entries, else b's T_b classes are swept; a price past the lesser of ``max_work`` and
+    for every drift, as :func:`_drift_slots` is for listed ones.  A divisor-set b is counted
+    (:func:`_class_counts`) whatever a is, at a price summed over its divisors y: |xs|·(1 + y)
+    solves and table entries for a divisor-set a, else duty_a·lcm(T_a, y) wake slots walked.
+    Any other b has its T_b classes swept.  A price past the lesser of ``max_work`` and
     ``MAX_WAKE_SLOTS`` raises :class:`ScanBudgetError` before anything is built."""
     bound = min(max_work, cap := protocols.MAX_WAKE_SLOTS)
-    if sets := _divisor_sets(a, b):
-        price, unit = len(sets[0]) * (len(sets[1]) + sum(sets[1])), "solves and table entries"
-    else:
+    xs, ys = getattr(a, "divisors", None), getattr(b, "divisors", None)
+    if ys is None:
         price, unit = b.period, "drift classes"
+    elif xs is None:
+        duty = duty_cycle(a) if isinstance(a, Schedule) else a.duty
+        price, unit = sum(duty * lcm(a.period, y) for y in ys), "wake slots walked"
+    else:
+        price, unit = sum(len(xs) * (1 + y) for y in ys), "solves and table entries"
     if price > bound:
         raise ScanBudgetError(f"{price} {unit} exceed {bound}, the lesser of --max-work and the "
                               f"{cap}-class cap; {_SAMPLE_HINT}")
-    return _class_counts(*sets) if sets else Counter(_drift_slots(a, b, range(b.period), max_work))
+    if ys is None:
+        return Counter(_drift_slots(a, b, range(b.period), max_work))
+    build = protocols.build_schedule  # via the module: the traced replay rebinds it
+    return _class_counts(a if isinstance(a, Schedule) else build(a) if xs is None else xs, ys)
 
 
 def first_discovery_analytic(

@@ -424,8 +424,10 @@ def test_cmd_verify_answers_when_classes_fit_though_the_lcm_does_not(specs, peak
         (["todis:n=5", "todis:n=100000001", "--max-work", str(10**20)],
          "900000018 solves and table entries", 10**7),
         (["todis:n=100000001", "todis:n=99999999"], "900000000 solves and table entries", 10**7),
+        # hedis 3162 has 6,322 wake slots; lcm(T_a, y) / T_a is 1201, 1199/109 and 1203/3
+        (["hedis:n=3162", "todis:n=1201"], "10197386 wake slots walked", 10**7),
     ],
-    ids=["max-work", "class cap", "divisibility price", "default max-work"],
+    ids=["max-work", "class cap", "divisibility price", "default max-work", "walk price"],
 )
 def test_cmd_verify_refuses_classes_past_each_bound_before_building(
     monkeypatch, capsys, argv, price, limit

@@ -72,12 +72,26 @@ MATRIX = {
         "todis": [(7525, 2542759, 1517), (5418, 1294825, 841), (5980, 45079, 32),
                   (5940, 869341, 520), (14749, 411741935, 205143)],
     },
+    (5, 1): {
+        "disco": [(6068, 58801173, 39203), (5032, 38505462, 22201), (9287, 65452555, 32768),
+                  (7067, 29839521, 19900), (10804, 4920087401, 2969967)],
+        "uconnect": [(5655, 53533007, 39203), (4292, 35404056, 22201), (7366, 58566341, 32768),
+                     (5742, 55095461, 39800), (8584, 1014719119, 685377)],
+        "searchlight": [(6144, 48799213, 39203), (4736, 38056932, 22201), (8064, 79147015, 32768),
+                        (9216, 8016096, 4975), (9184, 38214359555, 26729703)],
+        "hedis": [(7760, 68725069, 39203), (5720, 41386218, 22201), (16000, 9782341, 4096),
+                  (7758, 14633957, 7960), (11760, 49572447212, 26729703)],
+        "todis": [(9263, 65661777, 39203), (7375, 43774762, 22201), (11859, 35469437, 16384),
+                  (9204, 66566467, 39800), (13794, 44952087707, 26729703)],
+    },
 }
 # the cells with no co-prime anchor pair: no bound, so meeting is shown exhaustively only
 EXHAUSTIVE_ONLY = {
     (10, 25): {("hedis", "uconnect"), ("hedis", "searchlight"), ("hedis", "hedis"),
                ("searchlight", "searchlight"), ("searchlight", "hedis")},
     (1, 5): {("hedis", "searchlight"), ("hedis", "hedis"), ("searchlight", "searchlight"),
+             ("searchlight", "hedis")},
+    (5, 1): {("hedis", "searchlight"), ("hedis", "hedis"), ("searchlight", "searchlight"),
              ("searchlight", "hedis")},
 }
 

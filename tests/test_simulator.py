@@ -136,10 +136,13 @@ def test_verify_all_drifts_sweep_budget_guard():
 
 @pytest.mark.parametrize(
     "a, b, price, unit",
-    # todis 5/7: 3 x 3 solves, 3 x (5 + 7 + 9) table entries; hedis 4/11: T_b classes
+    # todis 5/7: 3 x 3 solves, 3 x (5 + 7 + 9) table entries; hedis 4/11: T_b classes;
+    # hedis 4 (6 wake slots in 12) against todis 5: lcm(12, y) / 12 periods walked per y,
+    # above the 35 + 21 + 15 wake slots that a sampled run's build of todis 5 counts
     [(TodisParams(5), TodisParams(7), 72, "solves and table entries"),
-     (HedisParams(4), HedisParams(11), 110, "drift classes")],
-    ids=["divisibility", "grid"],
+     (HedisParams(4), HedisParams(11), 110, "drift classes"),
+     (HedisParams(4), TodisParams(5), 6 * 1 + 6 * 5 + 6 * 7, "wake slots walked")],
+    ids=["divisibility", "grid", "grid-against-divisors"],
 )
 def test_verify_all_drifts_caps_drift_classes_before_building(monkeypatch, a, b, price, unit):
     # exhaustive mode prices its engine: a price at MAX_WAKE_SLOTS is
@@ -287,7 +290,8 @@ class _Case:
     built and walked while the hyperperiod is at most WALK_SPAN; divisor
     sets past BRUTE_SPAN only while it times the drifts asked is at most
     WALK_WORK, as a drift that never meets walks the whole hyperperiod.
-    Built parameters also run unbuilt, and in both mixes of the two.
+    Built parameters also run unbuilt, and in both mixes of the two; a
+    built a runs against parameters b unbuilt as well.
     """
 
     def __init__(self, a, b, drifts=(), batch=(), probes=(), samples=(), seeds=(0,),
@@ -304,7 +308,7 @@ class _Case:
         self.samples, self.seeds = sorted({k for k in samples if k > 0}), seeds
         self.classes = self.periods[1] if exhaustive else 0
         params = isinstance(a, ProtocolParams)
-        self.walk, self.nodes = (), [(a, b)] if params else []
+        self.walk, self.nodes = (), [(a, b)] if isinstance(b, ProtocolParams) else []
         work = span * len(self.batch) if isinstance(a, frozenset) and span > BRUTE_SPAN else 0
         if span <= WALK_SPAN and work <= WALK_WORK:
             self.walk = A, B = [
@@ -353,10 +357,10 @@ def _random_set(rng, low, high, most):
     return frozenset({rng.randint(low, high) for _ in range(rng.randint(1, most))})
 
 
-def _random_schedule(rng):
-    period = rng.randint(1, 36)
+def _random_schedule(rng, longest=36, fewest=0, most=6):
+    period = rng.randint(1, longest)
     return make_schedule(
-        period, [rng.randrange(period) for _ in range(rng.randint(0, 6))]
+        period, [rng.randrange(period) for _ in range(rng.randint(fewest, most))]
     )
 
 
@@ -383,6 +387,18 @@ PROTOCOL_PAIRS = [
 # six specs over the five protocols, paired every way for the mixed node kinds
 MIXED_SPECS = [DiscoParams(3, 5), UConnectParams(5), SearchlightParams(2, 3), HedisParams(4),
                HedisParams(5), TodisParams(5)]
+DIVISOR_SPECS = [DiscoParams(2, 3), DiscoParams(3, 5), DiscoParams(5, 7), TodisParams(5),
+                 TodisParams(7), TodisParams(9)]
+
+
+@functools.cache
+def _walked_against_divisors():
+    """Seeded built schedules (period <= 60, 1 to 4 wake slots) against each divisor
+    set in DIVISOR_SPECS, over every drift: a divisor-set b is counted, its table
+    for each divisor walked from a."""
+    rng = random.Random(43)
+    schedules = [_random_schedule(rng, 60, 1, 4) for _ in range(52)]
+    return [_Case(a, b, exhaustive=True) for a in schedules for b in DIVISOR_SPECS]
 
 
 @functools.cache
@@ -437,6 +453,7 @@ def _grid():
     cases += [_Case(a, b, samples=(60,), seeds=(1, 7), exhaustive=True) for a, b in PROTOCOL_PAIRS]
     cases += [_Case(a, b, samples=(40,), exhaustive=True)
               for a, b in itertools.product(MIXED_SPECS, repeat=2)]
+    cases += _walked_against_divisors()
     for protocol, (delta_a, delta_b) in itertools.product(("disco", "todis"), ((1, 5), (5, 1))):
         a, b = (select_params(protocol, Fraction(d, 100)).params for d in (delta_a, delta_b))
         cases.append(_Case(a, b, samples=(500,), seeds=(5,)))
@@ -600,6 +617,14 @@ def test_engine_matches_the_oracle(engine):
         except AssertionError as error:
             raise AssertionError(f"{engine} on {case!r}: {error}") from None
     assert any(None in case.refs.values() for case in cases)  # never-meeting drifts were asked
+
+
+def test_walked_divisor_tables_count_never_meeting_classes():
+    # a class of b never meets when, for each divisor y, no wake slot of a is in
+    # its residue's class mod y; the count keeps such classes as never meeting
+    cases = _walked_against_divisors()
+    never = [case for case in cases if None in map(case.ref, range(case.periods[1]))]
+    assert (len(never), len(cases)) == (11, 312)
 
 
 # eleven specs over the five protocols, each paired with each
