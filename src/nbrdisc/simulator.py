@@ -7,11 +7,10 @@ swapping the nodes can change the answer.  If the pair is ever going to meet,
 it meets inside the joint hyperperiod lcm(T_a, T_b), so that is the default
 search horizon.
 
-:func:`_drift_slots` picks the engine for listed drifts of a node pair: the analytic
-one (:func:`_analytic_latency`) for two divisor sets, else the walk over built schedules
-(:func:`_sweep`); :func:`_profile` counts every drift class of a divisor-set b, whatever
-a is (:func:`_class_counts`), and sweeps those of any other b.  Seeded trials and CDFs
-sit on top, byte-identical on rerun.
+:func:`_drift_slots` answers listed drifts and :func:`_profile` every drift by one rule on
+node b: a divisor-set b is tabulated (:func:`_analytic_latency`: solved for a divisor-set a,
+else swept from a's built schedule), any other b is swept (:func:`_sweep`) against a, both
+built.  Seeded trials and CDFs sit on top, byte-identical on rerun.
 """
 
 from __future__ import annotations
@@ -41,6 +40,7 @@ except ImportError:
 # A node of a pair: a built schedule, or parameters that describe one
 Node = Schedule | protocols.ProtocolParams
 _SAMPLE_HINT = "pass --sample N (sample=N in the library) to verify a seeded subset"
+_in_order = lru_cache(maxsize=1)(sorted)  # a's wake slots in time order, read only, once per a
 
 
 class DriftedPair(Frozen):
@@ -94,7 +94,7 @@ def _sweep(
     cross = unsettled >= len(active_b)
     # what each a slot is checked against: b's wake slots, or the unsettled classes
     row = sorted(active_b) if cross else list(first)
-    walk = sorted(a.active)
+    walk = _in_order(a.active)
     probes = 0
     for base in range(0, end, a.period):
         for s in walk:
@@ -103,9 +103,9 @@ def _sweep(
                 return first
             probes += len(row)
             if max_work is not None and probes > max_work:
-                raise ScanBudgetError(
-                    f"drift-class sweep exceeded the work guard {max_work}; {_SAMPLE_HINT}"
-                )
+                advice = f"; {_SAMPLE_HINT}" if every else ""  # every class: exhaustive verify
+                raise ScanBudgetError(f"drift-class sweep against period {period_b} exceeded "
+                                      f"the work guard {max_work}{advice}")
             before = unsettled
             if cross:
                 for sb in row:
@@ -126,20 +126,22 @@ def _sweep(
     return first
 
 
+def _built(node: Node) -> Schedule:
+    """A node as a schedule, built through the module: the traced replay rebinds build_schedule."""
+    return node if isinstance(node, Schedule) else protocols.build_schedule(node)
+
+
 def _drift_slots(
     a: Node, b: Node, drifts: Sequence[int], max_work: Optional[int] = None
 ) -> list[Optional[int]]:
-    """First discovery slot (or None) of each drift between two nodes.
-
-    The one place that picks the engine for listed drifts.  Two parameter values with
-    ``divisors`` are answered analytically and nothing is built; else parameters are
-    built and one sweep, refused past ``max_work`` probes, settles each drift class once.
+    """First discovery slot (or None) of each drift between two nodes: the entry point for
+    listed drifts.  A divisor-set b answers from its divisors' tables; any other b is swept
+    against a, both built, settling each drift class once, refused past ``max_work`` probes.
     """
-    sets = getattr(a, "divisors", None), getattr(b, "divisors", None)
-    if None not in sets:
-        return _analytic_latency(*sets, drifts)
-    build = protocols.build_schedule  # via the module: the traced replay rebinds it
-    a, b = (n if isinstance(n, Schedule) else build(n) for n in (a, b))
+    xs, ys = getattr(a, "divisors", None), getattr(b, "divisors", None)
+    if ys is not None:
+        return _analytic_latency(_built(a) if xs is None else xs, ys, drifts)
+    a, b = _built(a), _built(b)
     if drifts == range(b.period):  # every class of b: the sweep's list, as it is
         return _sweep(a, b, drifts, max_work=max_work)
     classes = [d % b.period for d in drifts]
@@ -171,31 +173,32 @@ def first_discovery(pair: DriftedPair, horizon: Optional[int] = None) -> Discove
 
 
 def _analytic_latency(
-    na: Iterable[int], nb: Iterable[int], drifts: Sequence[int]
+    a: Iterable[int] | Schedule, nb: Iterable[int], drifts: Sequence[int]
 ) -> list[Optional[int]]:
-    """First discovery slot (or None) of each drift, between divisibility schedules.
+    """First discovery slot (or None) of each drift against a b with divisor set ``nb``.
 
-    Solves each cross pair (x, y) once, for drift g = gcd(x, y): the pair
-    meets under drift d iff g divides d, and (d/g) times the solution for
-    g is then the solution for d, unique modulo lcm(x, y).  As g divides y
-    and (y/g) * x is a multiple of lcm(x, y), that depends on d only through
-    r = d mod y: each y tabulates the residues present (earliest meeting over
-    a's divisors, or the largest modulus where none meets), and each drift
-    takes the minimum of its |ys| lookups.
+    b wakes at t + d iff a divisor y of b divides t + d, so a meets y's multiples first at a
+    slot set by r = d mod y alone: each y tabulates the residues asked, and each drift takes the
+    least of its |ys| lookups.  A divisor set ``a`` solves each pair (x, y) once, for drift
+    g = gcd(x, y): it meets iff g divides r, at r/g times g's slot, modulo lcm(x, y).  A built
+    ``a`` is swept against a one-slot schedule of period y, refused past ``MAX_WAKE_SLOTS`` probes.
     """
-    xs, ys = set(na), set(nb)
+    walked = isinstance(a, Schedule)
+    xs, ys = {a.period} if walked else set(a), set(nb)
     if not xs or not ys:
         raise ValueError("divisor sets must be non-empty")
-    pairs_of = {y: [] for y in ys}
-    for x in xs:
-        for y in ys:
-            g = math.gcd(x, y)
-            sol = solve_congruence_pair(0, x, -g, y)
-            pairs_of[y].append((g, sol.base, sol.modulus))
-    never = max(modulus for pairs in pairs_of.values() for _, _, modulus in pairs)
+    never = max(math.lcm(x, y) for x in xs for y in ys)  # later than every first meeting
     cols = []
-    for y, pairs in pairs_of.items():
-        rs = [d % y for d in drifts]
+    for y in sorted(ys):  # the least divisor first, as a refused walk names it
+        rs = drifts if drifts == range(y) else [d % y for d in drifts]  # range: sweep's list
+        if walked:
+            first = _sweep(a, Schedule(y, (0,)), rs, max_work=protocols.MAX_WAKE_SLOTS)
+            cols.append([never if t is None else t for t in map(first.__getitem__, rs)])
+            continue
+        pairs = []
+        for x in xs:
+            sol = solve_congruence_pair(0, x, -(g := math.gcd(x, y)), y)
+            pairs.append((g, sol.base, sol.modulus))
         table = {r: min([r // g * base % m if r % g == 0 else never for g, base, m in pairs])
                  for r in set(rs)}
         cols.append(list(map(table.__getitem__, rs)))
@@ -208,15 +211,13 @@ def _class_counts(a: Iterable[int] | Schedule, nb: Iterable[int]) -> dict[Option
 
     b's divisors y are pairwise co-prime, so by the Chinese remainder theorem its classes
     d mod T_b are the tuples of residues d mod y, each once.  A class meets at the least of
-    its residues' slots in y's table: :func:`_analytic_latency`'s for a divisor set ``a``,
-    else a :func:`_sweep` of the built ``a`` against y's multiples, a one-slot schedule of
-    period y.  So the classes meeting at v or later number the product of the residues that do.
+    its residues' slots in y's table (:func:`_analytic_latency`), so the classes meeting at v
+    or later number the product of the residues that do.
     """
     if math.lcm(*nb) != math.prod(ys := set(nb)):
         raise ValueError(f"divisors {sorted(ys)} are not pairwise co-prime")
-    tables = [sorted(math.inf if t is None else t for t in (
-        _sweep(a, Schedule(y, (0,)), range(y)) if isinstance(a, Schedule)
-        else _analytic_latency(a, (y,), range(y)))) for y in ys]  # never meeting as infinity
+    tables = [sorted(math.inf if t is None else t for t in _analytic_latency(a, (y,), range(y)))
+              for y in ys]  # never meeting as infinity
     slots = sorted(set().union(*tables), reverse=True)
     at_least = [math.prod(len(table) - bisect_left(table, v) for table in tables) for v in slots]
     return {None if v == math.inf else v: k - k_after
@@ -226,9 +227,9 @@ def _class_counts(a: Iterable[int] | Schedule, nb: Iterable[int]) -> dict[Option
 def _profile(a: Node, b: Node, max_work: int) -> dict[Optional[int], int]:
     """How many drift classes of b first meet at each slot (None: never): the entry point
     for every drift, as :func:`_drift_slots` is for listed ones.  A divisor-set b is counted
-    (:func:`_class_counts`) whatever a is, at a price summed over its divisors y: |xs|·(1 + y)
-    solves and table entries for a divisor-set a, else duty_a·lcm(T_a, y) wake slots walked.
-    Any other b has its T_b classes swept.  A price past the lesser of ``max_work`` and
+    (:func:`_class_counts`) at a price summed over its divisors y: |xs|·(1 + y) solves and
+    table entries for a divisor-set a, else duty_a·lcm(T_a, y) wake slots walked.  Any other
+    b has its T_b classes swept.  A price past the lesser of ``max_work`` and
     ``MAX_WAKE_SLOTS`` raises :class:`ScanBudgetError` before anything is built."""
     bound = min(max_work, cap := protocols.MAX_WAKE_SLOTS)
     xs, ys = getattr(a, "divisors", None), getattr(b, "divisors", None)
@@ -244,8 +245,7 @@ def _profile(a: Node, b: Node, max_work: int) -> dict[Optional[int], int]:
                               f"{cap}-class cap; {_SAMPLE_HINT}")
     if ys is None:
         return Counter(_drift_slots(a, b, range(b.period), max_work))
-    build = protocols.build_schedule  # via the module: the traced replay rebinds it
-    return _class_counts(a if isinstance(a, Schedule) else build(a) if xs is None else xs, ys)
+    return _class_counts(_built(a) if xs is None else xs, ys)
 
 
 def first_discovery_analytic(

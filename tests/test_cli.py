@@ -378,18 +378,53 @@ def test_cmd_granularity_error_rows_set_exit_status(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "specs, sample, seed, peak, mean",
+    "specs, sample, seed, peak, mean, built",
     [
-        (["todis:n=299", "todis:n=59"], "1000", "3", "10166", "2032.805"),
-        (["hedis:n=4", "hedis:n=100000"], "5", "1", "297803", "118625.8"),
+        (["todis:n=299", "todis:n=59"], "1000", "3", "10166", "2032.805", []),
+        (["hedis:n=4", "hedis:n=100000"], "5", "1", "297803", "118625.8", ["hedis", "hedis"]),
+        # a divisor-set b answers from its divisors' tables, walked from the built a, and is
+        # never built: todis 2001 and 5001 have more wake slots than the 10**7 build cap
+        (["hedis:n=40", "todis:n=1201"], "5", "0", "13080", "6523.6", ["hedis"]),
+        (["hedis:n=40", "todis:n=2001"], "5", "0", "25740", "10528", ["hedis"]),
+        (["hedis:n=4", "todis:n=5001"], "5", "0", "6652", "2882.8", ["hedis"]),
     ],
-    ids=["todis", "hedis"],
+    ids=["todis", "hedis", "hedis-todis-1201", "hedis-todis-2001", "hedis-todis-5001"],
 )
-def test_cmd_verify_sampled_latencies(specs, sample, seed, peak, mean, capsys):
+def test_cmd_verify_sampled_latencies(monkeypatch, specs, sample, seed, peak, mean, built, capsys):
+    names, build = [], protocols.build_schedule
+
+    def counting_build(params):
+        names.append(params.name)
+        return build(params)
+
+    monkeypatch.setattr(protocols, "build_schedule", counting_build)
     assert main(["verify", *specs, "--sample", sample, "--seed", seed]) == 0
     out = capsys.readouterr().out
     assert f"all_discover=true\nmax_latency={peak}\nmean_latency={mean}\n" in out
     assert f"drifts_checked={sample}\nexhaustive=false\n" in out
+    assert names == built
+
+
+def test_cmd_verify_sampled_walk_refused_at_the_wake_slot_cap(monkeypatch, capsys):
+    # --max-work does not bind a sampled run, but each walk of a's wake slots against a
+    # divisor of b stops at MAX_WAKE_SLOTS probes; the refusal names it and does not advise
+    # --sample to a run that samples.  At the real cap this run is refused in about 2 s.
+    build = protocols.build_schedule
+
+    def build_a_only(params):
+        if params.name != "hedis":
+            pytest.fail(f"built {params}")
+        return build(params)
+
+    monkeypatch.setattr(protocols, "build_schedule", build_a_only)
+    monkeypatch.setattr(protocols, "MAX_WAKE_SLOTS", 10**5)
+    start = time.perf_counter()
+    assert main(["verify", "hedis:n=40", "todis:n=100000001", "--sample", "5"]) == 2
+    assert time.perf_counter() - start < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: drift-class sweep against period 99999999 exceeded the "
+                            "work guard 100000\n")
 
 
 def test_cmd_verify_prints_canonical_specs(capsys):

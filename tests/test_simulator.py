@@ -137,8 +137,7 @@ def test_verify_all_drifts_sweep_budget_guard():
 @pytest.mark.parametrize(
     "a, b, price, unit",
     # todis 5/7: 3 x 3 solves, 3 x (5 + 7 + 9) table entries; hedis 4/11: T_b classes;
-    # hedis 4 (6 wake slots in 12) against todis 5: lcm(12, y) / 12 periods walked per y,
-    # above the 35 + 21 + 15 wake slots that a sampled run's build of todis 5 counts
+    # hedis 4 (6 wake slots in 12) against todis 5: lcm(12, y) / 12 periods walked per y
     [(TodisParams(5), TodisParams(7), 72, "solves and table entries"),
      (HedisParams(4), HedisParams(11), 110, "drift classes"),
      (HedisParams(4), TodisParams(5), 6 * 1 + 6 * 5 + 6 * 7, "wake slots walked")],
@@ -394,11 +393,11 @@ DIVISOR_SPECS = [DiscoParams(2, 3), DiscoParams(3, 5), DiscoParams(5, 7), TodisP
 @functools.cache
 def _walked_against_divisors():
     """Seeded built schedules (period <= 60, 1 to 4 wake slots) against each divisor
-    set in DIVISOR_SPECS, over every drift: a divisor-set b is counted, its table
-    for each divisor walked from a."""
+    set in DIVISOR_SPECS, over every drift and 40 sampled ones: a divisor-set b is
+    counted or looked up, its table for each divisor walked from a."""
     rng = random.Random(43)
     schedules = [_random_schedule(rng, 60, 1, 4) for _ in range(52)]
-    return [_Case(a, b, exhaustive=True) for a in schedules for b in DIVISOR_SPECS]
+    return [_Case(a, b, samples=(40,), exhaustive=True) for a in schedules for b in DIVISOR_SPECS]
 
 
 @functools.cache
@@ -625,6 +624,8 @@ def test_walked_divisor_tables_count_never_meeting_classes():
     cases = _walked_against_divisors()
     never = [case for case in cases if None in map(case.ref, range(case.periods[1]))]
     assert (len(never), len(cases)) == (11, 312)
+    # and each of those pairs samples a drift that never meets
+    assert all(None in map(case.ref, drifts) for case in never for _, _, drifts in case.sampled)
 
 
 # eleven specs over the five protocols, each paired with each
@@ -793,6 +794,13 @@ def test_latency_trials_builds_each_grid_schedule_once(monkeypatch):
     cfg = select_params("hedis", Fraction(1, 100))
     latency_trials(cfg, cfg, 100, 1)
     assert built == [cfg.params, cfg.params]
+
+
+def test_walked_tables_order_a_once_per_pair():
+    # a work count: a's wake slots are put in time order once, not once per divisor of b
+    simulator._in_order.cache_clear()
+    verify_all_drifts(HedisParams(40), TodisParams(1201), sample=5)
+    assert simulator._in_order.cache_info()[:2] == (2, 1)  # (hits, misses) over 3 divisors
 
 
 def test_sampled_verify_hashes_its_seed_prefix_once(monkeypatch):
