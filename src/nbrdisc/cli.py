@@ -295,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec_b", help="parameter notation for node b")
     p.add_argument("--sample", type=int, default=None, help="sampled drifts instead of exhaustive")
     p.add_argument("--max-work", type=int, default=MAX_WORK, help="exhaustive runs only: most "
-                   "work priced (drift classes, or solves and table entries); a walk's probes")
+                   "drift classes, solves and table entries, or wake slots walked; a walk's probes")
     common(p)
     p.set_defaults(func=cmd_verify)
 

@@ -7,10 +7,10 @@ swapping the nodes can change the answer.  If the pair is ever going to meet,
 it meets inside the joint hyperperiod lcm(T_a, T_b), so that is the default
 search horizon.
 
-:func:`_drift_slots` answers listed drifts and :func:`_profile` every drift by one rule on
-node b: a divisor-set b is tabulated (:func:`_analytic_latency`: solved for a divisor-set a,
-else swept from a's built schedule), any other b is swept (:func:`_sweep`) against a, both
-built.  Seeded trials and CDFs sit on top, byte-identical on rerun.
+:func:`_drift_slots` answers listed drifts and :func:`_profile` every drift by one rule: a
+divisor-set b is tabulated (:func:`_analytic_latency`), any other b is built and swept
+(:func:`_sweep`), and a divisor-set a is never built: it is solved, or walked as its divisors'
+multiples.  Seeded trials and CDFs sit on top, byte-identical on rerun.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from functools import lru_cache
+from heapq import merge
+from itertools import groupby
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import protocols
@@ -64,7 +66,7 @@ class DiscoveryResult(NamedTuple):
 
 
 def _sweep(
-    a: Schedule,
+    a: Schedule | frozenset[int],
     b: Schedule,
     classes: Iterable[int],
     horizon: Optional[int] = None,
@@ -72,31 +74,33 @@ def _sweep(
 ) -> dict[int, Optional[int]] | list[Optional[int]]:
     """First discovery slot below ``horizon`` of each drift class asked, or None.
 
-    Drift d meets at slot t iff (t + d) mod T_b is a wake slot of b, so the
-    answer depends only on the class d mod T_b; ``classes`` may repeat, and
-    each distinct one is settled once: in a dict, or in a list indexed by
-    class when ``classes`` is range(T_b).  One walk visits a's wake slots t in
-    time order up to min(horizon, lcm(T_a, T_b)), and the first t at which a
-    class meets is its first discovery.  With fewer classes asked than b has
-    wake slots, each a slot probes the unsettled classes c (is (t + c) mod T_b
-    awake?); otherwise it crosses b's wake slots sb, settling class
-    (sb - t) mod T_b.  Raises :class:`ScanBudgetError` past ``max_work`` probes.
+    Drift d meets at slot t iff (t + d) mod T_b is a wake slot of b, so the answer depends only
+    on the class d mod T_b; ``classes`` may repeat, and each distinct one is settled once: in a
+    dict, or in a list indexed by class when ``classes`` is range(T_b).  One walk visits a's wake
+    slots t in time order up to min(horizon, lcm(T_a, T_b)), a built ``a`` period by period and a
+    divisor set ``a``, never built, as its divisors' multiples merged, each slot once; the first t
+    at which a class meets is its first discovery.  With fewer classes asked than b has wake
+    slots, each a slot probes the unsettled classes c (is (t + c) mod T_b awake?); otherwise it
+    crosses b's wake slots sb, settling class (sb - t) mod T_b.  Raises :class:`ScanBudgetError`
+    past ``max_work`` probes.
     """
     every = classes == range(b.period)  # every class asked, as exhaustive verify does
     first = [None] * b.period if every else dict.fromkeys(classes)
     unsettled = len(first)
-    end = lcm(a.period, b.period)
+    built = isinstance(a, Schedule)
+    end = lcm(a.period if built else math.lcm(*a), b.period)
     if horizon is not None:
         end = min(end, horizon)
-    if not unsettled or not a.active or not b.active:
+    if not unsettled or built and not a.active or not b.active:
         return first
     period_b, active_b = b.period, b.active
     cross = unsettled >= len(active_b)
     # what each a slot is checked against: b's wake slots, or the unsettled classes
     row = sorted(active_b) if cross else list(first)
-    walk = _in_order(a.active)
+    step, walk = (a.period, _in_order(a.active)) if built else (  # a divisor set: one pass
+        end, (t for t, _ in groupby(merge(*(range(0, end, x) for x in a)))))
     probes = 0
-    for base in range(0, end, a.period):
+    for base in range(0, end, step):
         for s in walk:
             t = base + s
             if t >= end:
@@ -134,19 +138,17 @@ def _built(node: Node) -> Schedule:
 def _drift_slots(
     a: Node, b: Node, drifts: Sequence[int], max_work: Optional[int] = None
 ) -> list[Optional[int]]:
-    """First discovery slot (or None) of each drift between two nodes: the entry point for
-    listed drifts.  A divisor-set b answers from its divisors' tables; any other b is swept
-    against a, both built, settling each drift class once, refused past ``max_work`` probes.
+    """First discovery slot (or None) of each drift between two nodes, the entry point for listed
+    drifts: a divisor-set b answers from its divisors' tables, any other b is built and swept, a
+    divisor-set a enters either as its divisors (never built), refused past ``max_work`` probes.
     """
-    xs, ys = getattr(a, "divisors", None), getattr(b, "divisors", None)
+    a, ys = getattr(a, "divisors", None) or _built(a), getattr(b, "divisors", None)
     if ys is not None:
-        return _analytic_latency(_built(a) if xs is None else xs, ys, drifts)
-    a, b = _built(a), _built(b)
-    if drifts == range(b.period):  # every class of b: the sweep's list, as it is
-        return _sweep(a, b, drifts, max_work=max_work)
-    classes = [d % b.period for d in drifts]
+        return _analytic_latency(a, ys, drifts)
+    b = _built(b)
+    classes = drifts if drifts == range(b.period) else [d % b.period for d in drifts]
     first = _sweep(a, b, classes, max_work=max_work)
-    return list(map(first.__getitem__, classes))
+    return first if classes is drifts else list(map(first.__getitem__, classes))
 
 
 def _scan(a: Schedule, b: Schedule, drift: int, horizon: Optional[int] = None) -> DiscoveryResult:
@@ -245,7 +247,7 @@ def _profile(a: Node, b: Node, max_work: int) -> dict[Optional[int], int]:
                               f"{cap}-class cap; {_SAMPLE_HINT}")
     if ys is None:
         return Counter(_drift_slots(a, b, range(b.period), max_work))
-    return _class_counts(_built(a) if xs is None else xs, ys)
+    return _class_counts(xs or _built(a), ys)
 
 
 def first_discovery_analytic(

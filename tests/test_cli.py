@@ -387,8 +387,12 @@ def test_cmd_granularity_error_rows_set_exit_status(tmp_path, capsys):
         (["hedis:n=40", "todis:n=1201"], "5", "0", "13080", "6523.6", ["hedis"]),
         (["hedis:n=40", "todis:n=2001"], "5", "0", "25740", "10528", ["hedis"]),
         (["hedis:n=4", "todis:n=5001"], "5", "0", "6652", "2882.8", ["hedis"]),
+        # a divisor-set a is walked as its divisors' multiples against a grid b, never built
+        (["todis:n=5001", "hedis:n=4"], "5", "0", "9998", "2999.4", ["hedis"]),
+        (["todis:n=201", "hedis:n=61"], "40", "0", "5481", "1590.85", ["hedis"]),
     ],
-    ids=["todis", "hedis", "hedis-todis-1201", "hedis-todis-2001", "hedis-todis-5001"],
+    ids=["todis", "hedis", "hedis-todis-1201", "hedis-todis-2001", "hedis-todis-5001",
+         "todis-5001-hedis", "todis-201-hedis"],
 )
 def test_cmd_verify_sampled_latencies(monkeypatch, specs, sample, seed, peak, mean, built, capsys):
     names, build = [], protocols.build_schedule
@@ -512,12 +516,12 @@ def _main_small(argv):
     [
         (["schedule", "todis:n=5001", "--limit", "0"],
          "todis:n=5001 has over 10000000 wake slots"),
-        (["verify", "todis:n=5001", "hedis:n=4", "--sample", "5"],
-         "todis:n=5001 has over 10000000 wake slots"),
+        (["verify", "searchlight:t=2,i=30", "hedis:n=4", "--sample", "5"],
+         "searchlight:t=2,i=30 has over 10000000 wake slots"),
         (["schedule", "searchlight:t=2,i=30", "--limit", "0"],
          "searchlight:t=2,i=30 has over 10000000 wake slots"),
     ],
-    ids=["schedule-todis", "verify-todis", "schedule-searchlight"],
+    ids=["schedule-todis", "verify-searchlight", "schedule-searchlight"],
 )
 def test_cmd_refuses_oversize_schedule_before_building(argv, message, capsys):
     assert _main_small(argv) == 2

@@ -8,13 +8,14 @@ its values were known, and every row stays, including 2%/5%, where todis has
 the lower mean.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from nbrdisc import simulator
 from nbrdisc.numtheory import worst_case_bound
-from nbrdisc.protocols import MAX_WORK, PROTOCOL_ORDER, select_params
+from nbrdisc.protocols import MAX_WORK, PROTOCOL_ORDER, format_params, select_params
 
 # duty a, duty b (percent) -> (hedis max, hedis mean), (todis max, todis mean)
 PHASE0_TABLE = {
@@ -113,3 +114,25 @@ def test_every_protocol_pair_over_every_drift_class():
                 else:
                     assert peak <= bound, (duties, pa, pb)
         assert unbounded == EXHAUSTIVE_ONLY[duties]
+
+
+# duty cycles (percent) fixed before computing: every node select_params returns at them
+HETEROGENEITY_GRID = (1, 2, 5, 10, 25)
+
+
+def test_every_selectable_pair_meets_over_every_drift_class():
+    # each ordered pair of nodes, of any two protocols and duty cycles, over every drift class
+    nodes = list(dict.fromkeys(select_params(p, Fraction(d, 100)).params
+                               for p in PROTOCOL_ORDER for d in HETEROGENEITY_GRID))
+    unbounded, closest = 0, (0,)
+    for a, b in itertools.product(nodes, repeat=2):
+        peak, _ = _max_and_mean(simulator._profile(a, b, MAX_WORK))
+        bound = worst_case_bound(a.rendezvous, b.rendezvous)
+        if bound is None:
+            unbounded += 1
+            continue
+        assert peak <= bound, (a, b)
+        if Fraction(peak, bound) > closest[0]:
+            closest = Fraction(peak, bound), format_params(a), format_params(b), peak, bound
+    assert (len(nodes), unbounded) == (25, 113)
+    assert closest == (Fraction(298, 299), "todis:n=11", "todis:n=299", 2682, 2691)

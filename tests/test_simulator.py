@@ -203,6 +203,29 @@ def test_exhaustive_divisibility_verify_lists_no_class():
     assert peak < 10**6
 
 
+def test_exhaustive_verify_walks_a_divisor_set_a_unbuilt():
+    # todis:n=1201 holds 4,323,597 wake slots, about 300 MB built; walked as its
+    # divisors' multiples merged, against hedis:n=40's 1,560 classes, it peaks near 28 KB
+    tracemalloc.start()
+    try:
+        result = verify_all_drifts(TodisParams(1201), HedisParams(40))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (result.all_discover, result.max_latency) == (True, 23980)
+    assert peak < 1 << 20
+
+
+def test_sweep_walks_a_slot_that_divisors_share_once():
+    # slot 0 is a multiple of 2 and of 4; walked once, a divisor set spends the probes of
+    # its built schedule, so the guard refuses both at the same budget
+    b = make_schedule(4, [0])
+    for a in (coprimality_schedule({2, 4}), frozenset({2, 4})):
+        assert simulator._sweep(a, b, [1], max_work=2) == {1: None}
+        with pytest.raises(ScanBudgetError):
+            simulator._sweep(a, b, [1], max_work=1)
+
+
 def test_first_discovery_walks_the_sparser_schedule():
     # walking the always-awake a would visit every slot up to the meeting
     dense, sparse = make_schedule(1, [0]), make_schedule(10**7, [10**7 - 1])
@@ -521,6 +544,18 @@ def _check_sweep_every(case):
     assert simulator._sweep(a, b, range(b.period)) == list(map(case.ref, range(b.period)))
 
 
+def _check_sweep_divisors(case):
+    # a divisor set a, never built, walked as its divisors' multiples merged: listed
+    # classes, and every class of b
+    na, b = case.sets[0], case.walk[1]
+    for horizon, drifts in case.asked(case.batch):
+        classes = [d % b.period for d in drifts]
+        first = simulator._sweep(na, b, classes, horizon)
+        assert [first[c] for c in classes] == [case.ref(d, horizon) for d in drifts], horizon
+    if b.period <= EXHAUSTIVE_CLASSES:
+        assert simulator._sweep(na, b, range(b.period)) == list(map(case.ref, range(b.period)))
+
+
 def _check_scan(case):
     for swapped in (False, True):
         a, b = case.walk[::-1] if swapped else case.walk
@@ -593,6 +628,7 @@ ENGINES = {
     "_sweep-cross": (lambda c: c.walk, _check_sweep_cross),
     "_sweep-every": (
         lambda c: c.walk and c.walk[1].period <= EXHAUSTIVE_CLASSES, _check_sweep_every),
+    "_sweep-divisors": (lambda c: c.sets and c.walk, _check_sweep_divisors),
     "_scan": (lambda c: c.walk, _check_scan),
     "first_discovery": (lambda c: c.walk, _check_first_discovery),
     "_drift_slots": (lambda c: c.nodes, _check_drift_slots),
