@@ -8,9 +8,9 @@ it meets inside the joint hyperperiod lcm(T_a, T_b), so that is the default
 search horizon.
 
 :func:`_drift_slots` answers listed drifts and :func:`_profile` every drift by one rule: a
-divisor-set b is tabulated (:func:`_analytic_latency`), any other b is built and swept
-(:func:`_sweep`), and a divisor-set a is never built: it is solved, or walked as its divisors'
-multiples.  Seeded trials and CDFs sit on top, byte-identical on rerun.
+divisor-set b is read from one column per divisor (:func:`_table`), any other b is built and
+swept (:func:`_sweep`, in the order asked), and a divisor-set a is never built: it is solved,
+or walked as its divisors' multiples.  Seeded trials and CDFs sit on top, byte-identical on rerun.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from functools import lru_cache
 from heapq import merge
-from itertools import groupby
+from itertools import chain, groupby, pairwise, repeat
+from operator import sub
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import protocols
@@ -68,66 +69,65 @@ class DiscoveryResult(NamedTuple):
 def _sweep(
     a: Schedule | frozenset[int],
     b: Schedule,
-    classes: Iterable[int],
+    classes: Sequence[int],
     horizon: Optional[int] = None,
     max_work: Optional[int] = None,
-) -> dict[int, Optional[int]] | list[Optional[int]]:
-    """First discovery slot below ``horizon`` of each drift class asked, or None.
+) -> list[Optional[int]]:
+    """First discovery slot below ``horizon`` (or None) of each drift class, in the order asked.
 
     Drift d meets at slot t iff (t + d) mod T_b is a wake slot of b, so the answer depends only
     on the class d mod T_b; ``classes`` may repeat, and each distinct one is settled once: in a
-    dict, or in a list indexed by class when ``classes`` is range(T_b).  One walk visits a's wake
-    slots t in time order up to min(horizon, lcm(T_a, T_b)), a built ``a`` period by period and a
-    divisor set ``a``, never built, as its divisors' multiples merged, each slot once; the first t
-    at which a class meets is its first discovery.  With fewer classes asked than b has wake
-    slots, each a slot probes the unsettled classes c (is (t + c) mod T_b awake?); otherwise it
-    crosses b's wake slots sb, settling class (sb - t) mod T_b.  Raises :class:`ScanBudgetError`
-    past ``max_work`` probes.
+    dict, or in a list indexed by class when ``classes`` is range(T_b).  One loop reads a's wake
+    slots t below min(horizon, lcm(T_a, T_b)) as one time-ordered stream, a built ``a`` period by
+    period and a divisor set ``a``, never built, as its divisors' multiples merged, each slot
+    once; the first t at which a class meets is its first discovery.  With fewer classes asked
+    than b has wake slots, each a slot probes the unsettled classes c (is (t + c) mod T_b
+    awake?); otherwise it crosses b's wake slots sb, settling class (sb - t) mod T_b.  Raises
+    :class:`ScanBudgetError` past ``max_work`` probes.
     """
     every = classes == range(b.period)  # every class asked, as exhaustive verify does
     first = [None] * b.period if every else dict.fromkeys(classes)
-    unsettled = len(first)
+    period_b, active_b = b.period, b.active
     built = isinstance(a, Schedule)
-    end = lcm(a.period if built else math.lcm(*a), b.period)
+    unsettled = len(first) if active_b and (a.active if built else a) else 0  # 0: walk nothing
+    end = lcm(a.period if built else math.lcm(*a), period_b) if unsettled else 0
     if horizon is not None:
         end = min(end, horizon)
-    if not unsettled or built and not a.active or not b.active:
-        return first
-    period_b, active_b = b.period, b.active
     cross = unsettled >= len(active_b)
     # what each a slot is checked against: b's wake slots, or the unsettled classes
     row = sorted(active_b) if cross else list(first)
-    step, walk = (a.period, _in_order(a.active)) if built else (  # a divisor set: one pass
-        end, (t for t, _ in groupby(merge(*(range(0, end, x) for x in a)))))
+    if built:  # whole periods, so the last one may pass the end
+        order = _in_order(a.active)
+        slots = (base + s for base in range(0, end, a.period) for s in order)
+    else:
+        slots = (t for t, _ in groupby(merge(*(range(0, end, x) for x in a))))
     probes = 0
-    for base in range(0, end, step):
-        for s in walk:
-            t = base + s
-            if t >= end:
-                return first
-            probes += len(row)
-            if max_work is not None and probes > max_work:
-                advice = f"; {_SAMPLE_HINT}" if every else ""  # every class: exhaustive verify
-                raise ScanBudgetError(f"drift-class sweep against period {period_b} exceeded "
-                                      f"the work guard {max_work}{advice}")
-            before = unsettled
-            if cross:
-                for sb in row:
-                    c = (sb - t) % period_b
-                    if (first[c] if every else first.get(c, t)) is None:  # not asked: settled
-                        first[c] = t
-                        unsettled -= 1
-            else:
-                for c in row:
-                    if (t + c) % period_b in active_b:
-                        first[c] = t
-                        unsettled -= 1
-            if unsettled < before:
-                if not unsettled:
-                    return first
-                if not cross:
-                    row = [c for c in row if first[c] is None]
-    return first
+    for t in slots:
+        if t >= end:
+            break
+        probes += len(row)
+        if max_work is not None and probes > max_work:
+            advice = f"; {_SAMPLE_HINT}" if every else ""  # every class: exhaustive verify
+            raise ScanBudgetError(f"drift-class sweep against period {period_b} exceeded "
+                                  f"the work guard {max_work}{advice}")
+        before = unsettled
+        if cross:
+            for sb in row:
+                c = (sb - t) % period_b
+                if (first[c] if every else first.get(c, t)) is None:  # not asked: settled
+                    first[c] = t
+                    unsettled -= 1
+        else:
+            for c in row:
+                if (t + c) % period_b in active_b:
+                    first[c] = t
+                    unsettled -= 1
+        if unsettled < before:
+            if not unsettled:
+                break
+            if not cross:
+                row = [c for c in row if first[c] is None]
+    return first if every else list(map(first.__getitem__, classes))
 
 
 def _built(node: Node) -> Schedule:
@@ -139,7 +139,7 @@ def _drift_slots(
     a: Node, b: Node, drifts: Sequence[int], max_work: Optional[int] = None
 ) -> list[Optional[int]]:
     """First discovery slot (or None) of each drift between two nodes, the entry point for listed
-    drifts: a divisor-set b answers from its divisors' tables, any other b is built and swept, a
+    drifts: a divisor-set b answers from its divisors' columns, any other b is built and swept, a
     divisor-set a enters either as its divisors (never built), refused past ``max_work`` probes.
     """
     a, ys = getattr(a, "divisors", None) or _built(a), getattr(b, "divisors", None)
@@ -147,8 +147,7 @@ def _drift_slots(
         return _analytic_latency(a, ys, drifts)
     b = _built(b)
     classes = drifts if drifts == range(b.period) else [d % b.period for d in drifts]
-    first = _sweep(a, b, classes, max_work=max_work)
-    return first if classes is drifts else list(map(first.__getitem__, classes))
+    return _sweep(a, b, classes, max_work=max_work)
 
 
 def _scan(a: Schedule, b: Schedule, drift: int, horizon: Optional[int] = None) -> DiscoveryResult:
@@ -160,7 +159,7 @@ def _scan(a: Schedule, b: Schedule, drift: int, horizon: Optional[int] = None) -
     c = drift % b.period
     if len(b.active) * a.period < len(a.active) * b.period:
         a, b, c = Schedule(b.period, frozenset((s - c) % b.period for s in b.active)), a, 0
-    slot = _sweep(a, b, (c,), horizon)[c]
+    slot = _sweep(a, b, (c,), horizon)[0]
     return DiscoveryResult(slot is not None, slot)
 
 
@@ -174,38 +173,37 @@ def first_discovery(pair: DriftedPair, horizon: Optional[int] = None) -> Discove
     return _scan(pair.a, pair.b, pair.drift, horizon)
 
 
+def _table(a: Iterable[int] | Schedule, y: int, residues: Sequence[int]) -> list[int | float]:
+    """Divisor y's column: the first slot at which a meets y's multiples under each residue
+    r = d mod y asked, in the order asked, math.inf for never.
+
+    A divisor set ``a`` solves each pair (x, y) once, for drift g = gcd(x, y): it meets iff g
+    divides r, at r/g times g's slot, modulo lcm(x, y).  A built ``a`` is swept against a
+    one-slot schedule of period y, refused past ``MAX_WAKE_SLOTS`` probes.
+    """
+    if isinstance(a, Schedule):
+        first = _sweep(a, Schedule(y, (0,)), residues, max_work=protocols.MAX_WAKE_SLOTS)
+        return [math.inf if t is None else t for t in first]
+    pairs = [(g := math.gcd(x, y), *solve_congruence_pair(0, x, -g, y)[:2]) for x in a]
+    table = {r: min([r // g * base % m if r % g == 0 else math.inf for g, base, m in pairs])
+             for r in set(residues)}
+    return list(map(table.__getitem__, residues))
+
+
 def _analytic_latency(
     a: Iterable[int] | Schedule, nb: Iterable[int], drifts: Sequence[int]
 ) -> list[Optional[int]]:
     """First discovery slot (or None) of each drift against a b with divisor set ``nb``.
 
     b wakes at t + d iff a divisor y of b divides t + d, so a meets y's multiples first at a
-    slot set by r = d mod y alone: each y tabulates the residues asked, and each drift takes the
-    least of its |ys| lookups.  A divisor set ``a`` solves each pair (x, y) once, for drift
-    g = gcd(x, y): it meets iff g divides r, at r/g times g's slot, modulo lcm(x, y).  A built
-    ``a`` is swept against a one-slot schedule of period y, refused past ``MAX_WAKE_SLOTS`` probes.
+    slot set by r = d mod y alone: each drift takes the least of its lookups in the columns of
+    the divisors (:func:`_table`), built from the least up, as a refused walk names it.
     """
-    walked = isinstance(a, Schedule)
-    xs, ys = {a.period} if walked else set(a), set(nb)
+    xs, ys = a if isinstance(a, Schedule) else set(a), sorted(set(nb))
     if not xs or not ys:
         raise ValueError("divisor sets must be non-empty")
-    never = max(math.lcm(x, y) for x in xs for y in ys)  # later than every first meeting
-    cols = []
-    for y in sorted(ys):  # the least divisor first, as a refused walk names it
-        rs = drifts if drifts == range(y) else [d % y for d in drifts]  # range: sweep's list
-        if walked:
-            first = _sweep(a, Schedule(y, (0,)), rs, max_work=protocols.MAX_WAKE_SLOTS)
-            cols.append([never if t is None else t for t in map(first.__getitem__, rs)])
-            continue
-        pairs = []
-        for x in xs:
-            sol = solve_congruence_pair(0, x, -(g := math.gcd(x, y)), y)
-            pairs.append((g, sol.base, sol.modulus))
-        table = {r: min([r // g * base % m if r % g == 0 else never for g, base, m in pairs])
-                 for r in set(rs)}
-        cols.append(list(map(table.__getitem__, rs)))
-    firsts = map(min, *cols) if len(cols) > 1 else cols[0]
-    return [None if t == never else t for t in firsts]
+    cols = [_table(xs, y, drifts if drifts == range(y) else [d % y for d in drifts]) for y in ys]
+    return [None if t == math.inf else t for t in map(min, zip(*cols))]
 
 
 def _class_counts(a: Iterable[int] | Schedule, nb: Iterable[int]) -> dict[Optional[int], int]:
@@ -213,17 +211,17 @@ def _class_counts(a: Iterable[int] | Schedule, nb: Iterable[int]) -> dict[Option
 
     b's divisors y are pairwise co-prime, so by the Chinese remainder theorem its classes
     d mod T_b are the tuples of residues d mod y, each once.  A class meets at the least of
-    its residues' slots in y's table (:func:`_analytic_latency`), so the classes meeting at v
-    or later number the product of the residues that do.
+    its residues' slots in y's column (:func:`_table`), so the classes meeting at v or later
+    number the product of the residues that do: one C-level bisect per column and slot, streamed.
     """
     if math.lcm(*nb) != math.prod(ys := set(nb)):
         raise ValueError(f"divisors {sorted(ys)} are not pairwise co-prime")
-    tables = [sorted(math.inf if t is None else t for t in _analytic_latency(a, (y,), range(y)))
-              for y in ys]  # never meeting as infinity
-    slots = sorted(set().union(*tables), reverse=True)
-    at_least = [math.prod(len(table) - bisect_left(table, v) for table in tables) for v in slots]
+    cols = [sorted(_table(a, y, range(y))) for y in ys]
+    slots = sorted(set().union(*cols), reverse=True)
+    at_least = map(math.prod, zip(*[map(sub, repeat(len(col)), map(bisect_left, repeat(col), slots))
+                                    for col in cols]))
     return {None if v == math.inf else v: k - k_after
-            for v, k, k_after in zip(slots, at_least, [0, *at_least]) if k > k_after}
+            for v, (k_after, k) in zip(slots, pairwise(chain((0,), at_least))) if k > k_after}
 
 
 def _profile(a: Node, b: Node, max_work: int) -> dict[Optional[int], int]:

@@ -221,7 +221,7 @@ def test_sweep_walks_a_slot_that_divisors_share_once():
     # its built schedule, so the guard refuses both at the same budget
     b = make_schedule(4, [0])
     for a in (coprimality_schedule({2, 4}), frozenset({2, 4})):
-        assert simulator._sweep(a, b, [1], max_work=2) == {1: None}
+        assert simulator._sweep(a, b, [1], max_work=2) == [None]
         with pytest.raises(ScanBudgetError):
             simulator._sweep(a, b, [1], max_work=1)
 
@@ -520,22 +520,18 @@ def _check_sweep_probe(case):
         for i in range(0, len(drifts), size):
             chunk = drifts[i:i + size]
             first = simulator._sweep(a, b, [d % b.period for d in chunk], horizon)
-            assert len(first) == len({d % b.period for d in chunk})
-            expected = [case.ref(d, horizon) for d in chunk]
-            assert [first[d % b.period] for d in chunk] == expected, horizon
+            assert first == [case.ref(d, horizon) for d in chunk], horizon
 
 
 def _check_sweep_cross(case):
     a, b = case.walk
     start = min(a.active, default=0)
     for horizon, drifts in case.asked(case.batch):
-        # the |b.active| classes that meet at a's first wake slot ask for the
-        # crossing walk; the classes it meets that were not asked stay out
-        classes = {(s - start) % b.period for s in b.active} | {d % b.period for d in drifts}
-        first = simulator._sweep(a, b, classes, horizon)
-        assert first.keys() == classes
-        expected = [case.ref(d, horizon) for d in drifts]
-        assert [first[d % b.period] for d in drifts] == expected, horizon
+        # the |b.active| drifts that meet at a's first wake slot ask for the
+        # crossing walk; the classes it meets that were not asked settle nothing
+        asked = [s - start for s in b.active] + list(drifts)
+        first = simulator._sweep(a, b, [d % b.period for d in asked], horizon)
+        assert first == [case.ref(d, horizon) for d in asked], horizon
 
 
 def _check_sweep_every(case):
@@ -549,9 +545,8 @@ def _check_sweep_divisors(case):
     # classes, and every class of b
     na, b = case.sets[0], case.walk[1]
     for horizon, drifts in case.asked(case.batch):
-        classes = [d % b.period for d in drifts]
-        first = simulator._sweep(na, b, classes, horizon)
-        assert [first[c] for c in classes] == [case.ref(d, horizon) for d in drifts], horizon
+        first = simulator._sweep(na, b, [d % b.period for d in drifts], horizon)
+        assert first == [case.ref(d, horizon) for d in drifts], horizon
     if b.period <= EXHAUSTIVE_CLASSES:
         assert simulator._sweep(na, b, range(b.period)) == list(map(case.ref, range(b.period)))
 
